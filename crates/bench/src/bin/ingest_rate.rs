@@ -131,6 +131,7 @@ fn one_shot_golden(records: &[RawRecord]) -> Vec<u8> {
         &cols,
         AutoMode::ApproveAll,
         true,
+        None,
         Some(&mut library),
     );
     let golden = pipeline.discover_golden_records(&dataset, TruthMethod::MajorityConsensus);

@@ -12,9 +12,9 @@ use crate::args::ParsedArgs;
 use crate::interactive::InteractiveOracle;
 use crate::{CliError, CommandOutput, OpenInput, OpenOutput};
 use ec_core::{
-    compile_dataset, resolve_column_spec, standardize_columns, standardize_columns_compiled,
-    write_golden_records_csv, ApplyReport, AutoMode, ColumnReport, CompiledDataset,
-    ConsolidationConfig, DeltaPipeline, FusedPipeline, Pipeline, ProgramLibrary, TruthMethod,
+    compile_dataset, resolve_column_spec, standardize_columns, write_golden_records_csv,
+    ApplyReport, AutoMode, ColumnReport, CompiledColumn, CompiledDataset, ConsolidationConfig,
+    DeltaPipeline, FusedPipeline, Pipeline, ProgramLibrary, TruthMethod,
 };
 use ec_data::csv::CsvWriter;
 use ec_data::stream::DatasetSink;
@@ -232,42 +232,71 @@ fn artifact_summary(path: &str, compiled: &CompiledDataset, mapped: bool) -> Str
     )
 }
 
-/// Resolves `--artifact` for `consolidate`/`pipeline`: `Ok(Some(...))` when
-/// the artifact loaded, `Ok(None)` for a failed load that can fall back to
-/// `--input` (a warning goes to `prompt_out`), `Err` when there is nothing
-/// to fall back to. An explicit `--threshold` different from the artifact's
-/// is refused — the clusters were formed at compile time.
-fn resolve_artifact(
+/// The consolidation configuration of `consolidate`/`pipeline`: the
+/// `--budget` and `--threads` flags over the defaults.
+fn consolidation_config(parsed: &ParsedArgs) -> Result<ConsolidationConfig, CliError> {
+    Ok(ConsolidationConfig {
+        budget: parsed.get_usize("budget", 100)?,
+        ..ConsolidationConfig::default()
+    }
+    .with_threads(parsed.get_usize("threads", 0)?))
+}
+
+/// `--artifact` for `consolidate`/`pipeline`: the artifact already holds the
+/// resolved clusters and every prepared structure, so its consolidation is
+/// replayed, skipping parse and resolve. `Ok(None)` when there is no
+/// artifact, or for a failed load that can fall back to `--input` (a warning
+/// goes to `prompt_out`); `Err` when there is nothing to fall back to. An
+/// explicit `--threshold` different from the artifact's is refused — the
+/// clusters were formed at compile time.
+fn consolidate_artifact(
     parsed: &ParsedArgs,
+    open_output: OpenOutput<'_>,
+    stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
-) -> Result<Option<(String, CompiledDataset, bool)>, CliError> {
+) -> Result<Option<CommandOutput>, CliError> {
     let Some(path) = parsed.get("artifact") else {
         return Ok(None);
     };
-    match load_artifact(path) {
-        Ok((compiled, mapped)) => {
-            if parsed.get("threshold").is_some() {
-                let threshold = match_threshold(parsed)?;
-                if threshold != compiled.threshold {
-                    return Err(CliError::Usage(format!(
-                        "{path} was compiled at threshold {}, not {threshold}; \
-                         re-run `ec compile` to change it",
-                        compiled.threshold
-                    )));
-                }
-            }
-            Ok(Some((path.to_string(), compiled, mapped)))
-        }
+    let pipeline = Pipeline::new(consolidation_config(parsed)?);
+    let (compiled, mapped) = match load_artifact(path) {
+        Ok(loaded) => loaded,
         Err(e) if parsed.get("input").is_some() => {
             writeln!(
                 prompt_out,
                 "warning: cannot load artifact {path} ({e}); rebuilding from --input"
             )
             .map_err(|e| CliError::Io(e.to_string()))?;
-            Ok(None)
+            return Ok(None);
         }
-        Err(e) => Err(e),
+        Err(e) => return Err(e),
+    };
+    if parsed.get("threshold").is_some() {
+        let threshold = match_threshold(parsed)?;
+        if threshold != compiled.threshold {
+            return Err(CliError::Usage(format!(
+                "{path} was compiled at threshold {}, not {threshold}; \
+                 re-run `ec compile` to change it",
+                compiled.threshold
+            )));
+        }
     }
+    let summary = artifact_summary(path, &compiled, mapped);
+    let mut dataset = compiled.dataset.clone();
+    let consolidated = consolidate_dataset(
+        parsed,
+        &mut dataset,
+        compiled.has_truth,
+        &pipeline,
+        Some(&compiled.columns),
+        open_output,
+        stdin,
+        prompt_out,
+    )?;
+    Ok(Some(CommandOutput {
+        stdout: summary + &consolidated.stdout,
+        written: consolidated.written,
+    }))
 }
 
 /// `ec consolidate`: standardize one or all columns under a budget and emit
@@ -279,31 +308,10 @@ pub fn consolidate(
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    let pipeline = Pipeline::new(
-        ConsolidationConfig {
-            budget: parsed.get_usize("budget", 100)?,
-            ..ConsolidationConfig::default()
-        }
-        .with_threads(parsed.get_usize("threads", 0)?),
-    );
-    if let Some((path, compiled, mapped)) = resolve_artifact(parsed, prompt_out)? {
-        let summary = artifact_summary(&path, &compiled, mapped);
-        let mut dataset = compiled.dataset.clone();
-        let consolidated = consolidate_dataset(
-            parsed,
-            &mut dataset,
-            compiled.has_truth,
-            &pipeline,
-            Some(&compiled),
-            open_output,
-            stdin,
-            prompt_out,
-        )?;
-        return Ok(CommandOutput {
-            stdout: summary + &consolidated.stdout,
-            written: consolidated.written,
-        });
+    if let Some(output) = consolidate_artifact(parsed, open_output, stdin, prompt_out)? {
+        return Ok(output);
     }
+    let pipeline = Pipeline::new(consolidation_config(parsed)?);
     // The `__truth` columns are what the simulated expert judges against; when
     // they are absent the automatic mode falls back to approving everything
     // (an upper bound a user can then restrict interactively).
@@ -324,16 +332,16 @@ pub fn consolidate(
 /// consolidation half of `ec pipeline`: standardizes the requested columns
 /// with the mode's oracle, runs truth discovery, renders the summary, and
 /// streams the `--output` / `--golden` / `--save-library` files. With
-/// `compiled` set (a loaded `--artifact`), candidate generation, grouping
-/// preparation and index building are all skipped — the precompiled state
-/// is replayed instead, byte-identically.
+/// `compiled` set (a loaded `--artifact`'s columns), candidate generation,
+/// grouping preparation and index building are all skipped — the
+/// precompiled state is replayed instead, byte-identically.
 #[allow(clippy::too_many_arguments)]
 fn consolidate_dataset(
     parsed: &ParsedArgs,
     dataset: &mut Dataset,
     has_truth: bool,
     pipeline: &Pipeline,
-    compiled: Option<&CompiledDataset>,
+    compiled: Option<&[CompiledColumn]>,
     open_output: OpenOutput<'_>,
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
@@ -381,15 +389,9 @@ fn consolidate_dataset(
             )
             .map_err(|e| CliError::Io(e.to_string()))?;
             let mut oracle = InteractiveOracle::new(stdin, prompt_out);
-            let (report, approved) = match compiled {
-                Some(compiled) => pipeline.standardize_column_traced_compiled(
-                    dataset,
-                    col,
-                    &compiled.columns[col],
-                    &mut oracle,
-                ),
-                None => pipeline.standardize_column_traced(dataset, col, &mut oracle),
-            };
+            let compiled = compiled.map(|columns| &columns[col]);
+            let (report, approved) =
+                pipeline.standardize_column_from(dataset, col, compiled, &mut oracle);
             if let Some(library) = &mut library {
                 for group in &approved {
                     library.record(&dataset.columns[col], group);
@@ -404,24 +406,15 @@ fn consolidate_dataset(
                 "unknown mode '{mode}'; expected auto, approve-all, or interactive"
             ))
         })?;
-        match compiled {
-            Some(compiled) => standardize_columns_compiled(
-                pipeline,
-                compiled,
-                dataset,
-                &columns,
-                auto_mode,
-                library.as_mut(),
-            ),
-            None => standardize_columns(
-                pipeline,
-                dataset,
-                &columns,
-                auto_mode,
-                has_truth,
-                library.as_mut(),
-            ),
-        }
+        standardize_columns(
+            pipeline,
+            dataset,
+            &columns,
+            auto_mode,
+            has_truth,
+            compiled,
+            library.as_mut(),
+        )
     };
 
     let golden = pipeline.discover_golden_records(dataset, truth_method);
@@ -566,32 +559,8 @@ pub fn pipeline(
     stdin: &mut dyn BufRead,
     prompt_out: &mut dyn Write,
 ) -> Result<CommandOutput, CliError> {
-    if let Some((path, compiled, mapped)) = resolve_artifact(parsed, prompt_out)? {
-        // The artifact already holds the resolved clusters and every prepared
-        // structure; replay the consolidation, skipping resolve entirely.
-        let summary = artifact_summary(&path, &compiled, mapped);
-        let pipeline = Pipeline::new(
-            ConsolidationConfig {
-                budget: parsed.get_usize("budget", 100)?,
-                ..ConsolidationConfig::default()
-            }
-            .with_threads(parsed.get_usize("threads", 0)?),
-        );
-        let mut dataset = compiled.dataset.clone();
-        let consolidated = consolidate_dataset(
-            parsed,
-            &mut dataset,
-            compiled.has_truth,
-            &pipeline,
-            Some(&compiled),
-            open_output,
-            stdin,
-            prompt_out,
-        )?;
-        return Ok(CommandOutput {
-            stdout: summary + &consolidated.stdout,
-            written: consolidated.written,
-        });
+    if let Some(output) = consolidate_artifact(parsed, open_output, stdin, prompt_out)? {
+        return Ok(output);
     }
     let threshold = match_threshold(parsed)?;
     let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
@@ -601,11 +570,7 @@ pub fn pipeline(
             threshold,
             ..ResolverConfig::default()
         },
-        ConsolidationConfig {
-            budget: parsed.get_usize("budget", 100)?,
-            ..ConsolidationConfig::default()
-        }
-        .with_threads(parsed.get_usize("threads", 0)?),
+        consolidation_config(parsed)?,
     );
     let mut dataset = fused
         .resolve_stream(name, &mut stream)

@@ -9,6 +9,7 @@
 //! place makes that identity true by construction instead of by parallel
 //! maintenance.
 
+use crate::compiled::CompiledColumn;
 use crate::library::ProgramLibrary;
 use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle};
 use crate::pipeline::{ColumnReport, Pipeline};
@@ -37,6 +38,18 @@ impl AutoMode {
             _ => None,
         }
     }
+
+    /// The oracle that reviews column `col` of `dataset` (as standardized so
+    /// far): [`SimulatedOracle::for_column`] seeded `7 + col` when the mode is
+    /// [`AutoMode::Auto`] and the dataset carries ground truth,
+    /// [`ApproveAllOracle`] otherwise.
+    pub(crate) fn oracle(self, dataset: &Dataset, col: usize, has_truth: bool) -> Box<dyn Oracle> {
+        if self == AutoMode::Auto && has_truth {
+            Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
+        } else {
+            Box::new(ApproveAllOracle)
+        }
+    }
 }
 
 /// Resolves a column specification — a column name, or a 0-based index — the
@@ -54,26 +67,27 @@ pub fn resolve_column_spec(columns: &[String], spec: &str) -> Option<usize> {
 /// Standardizes `columns` (in the given order) with the automated oracle
 /// selection: per column, [`SimulatedOracle::for_column`] seeded `7 + column`
 /// when `mode` is [`AutoMode::Auto`] and the dataset carries ground truth,
-/// [`ApproveAllOracle`] otherwise. Approved groups are recorded into
-/// `library` (keyed by column name) when one is supplied, so the
-/// verification work performed during the run becomes a reusable asset.
+/// [`ApproveAllOracle`] otherwise. With `compiled` (one state per dataset
+/// column, e.g. [`crate::CompiledDataset::columns`]) each column replays its
+/// prepared state instead of rebuilding it; the output is identical. Approved
+/// groups are recorded into `library` (keyed by column name) when one is
+/// supplied, so the verification work performed during the run becomes a
+/// reusable asset.
 pub fn standardize_columns(
     pipeline: &Pipeline,
     dataset: &mut Dataset,
     columns: &[usize],
     mode: AutoMode,
     has_truth: bool,
+    compiled: Option<&[CompiledColumn]>,
     mut library: Option<&mut ProgramLibrary>,
 ) -> Vec<ColumnReport> {
     let mut reports = Vec::with_capacity(columns.len());
     for &col in columns {
-        let simulated = mode == AutoMode::Auto && has_truth;
-        let mut oracle: Box<dyn Oracle> = if simulated {
-            Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
-        } else {
-            Box::new(ApproveAllOracle)
-        };
-        let (report, approved) = pipeline.standardize_column_traced(dataset, col, oracle.as_mut());
+        let mut oracle = mode.oracle(dataset, col, has_truth);
+        let compiled = compiled.map(|columns| &columns[col]);
+        let (report, approved) =
+            pipeline.standardize_column_from(dataset, col, compiled, oracle.as_mut());
         if let Some(library) = library.as_deref_mut() {
             let column_name = &dataset.columns[col];
             for group in &approved {
@@ -151,6 +165,7 @@ mod tests {
             &columns,
             AutoMode::Auto,
             true,
+            None,
             Some(&mut library),
         );
         assert_eq!(shared, manual, "shared driver reproduces the manual loop");

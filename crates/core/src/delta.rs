@@ -52,9 +52,8 @@
 //! `ec_ingest_cache_evictions_total` registry metric.
 
 use crate::consolidate::{write_golden_records_csv, AutoMode};
-use crate::library::{ApprovedGroup, ProgramLibrary, ValueOutcome};
-use crate::oracle::{ApproveAllOracle, Oracle, SimulatedOracle, Verdict};
-use crate::pipeline::{ColumnReport, ConsolidationConfig, Pipeline, TruthMethod};
+use crate::library::{ProgramLibrary, ValueOutcome};
+use crate::pipeline::{review_column, ColumnReport, ConsolidationConfig, Pipeline, TruthMethod};
 use ec_data::Dataset;
 use ec_graph::{structure::replacement_structure, Replacement, ReplacementStructure};
 use ec_grouping::{
@@ -62,6 +61,7 @@ use ec_grouping::{
 };
 use ec_replace::{generate_candidates, CandidateSet, CellRef, ReplacementEngine};
 use ec_resolution::{DeltaResolver, RawRecord, ResolverConfig};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -520,9 +520,9 @@ fn emit_groups(
     seq
 }
 
-/// Standardizes one column of the snapshot in place — the delta twin of the
-/// one-shot pipeline's traced column standardization, with identical
-/// observable behavior. Returns the column report and whether the group
+/// Standardizes one column of the snapshot in place through the one review
+/// loop, fed the column's cached group sequence (recomputed only when the
+/// candidate list changed). Returns the column report and whether the group
 /// sequence was replayed from cache.
 fn standardize_column_delta(
     cache: &mut ColumnCache,
@@ -533,53 +533,25 @@ fn standardize_column_delta(
     column_name: &str,
     library: &mut ProgramLibrary,
 ) -> (ColumnReport, bool) {
-    let values = dataset.column_values(col);
-    let merged = merged_candidates(cache, &values, config);
-    let mut engine = ReplacementEngine::from_parts(values, merged);
-    let candidates = engine.candidates();
-
-    let budget = config.budget;
-    let replayed = matches!(&cache.groups, Some((key, _)) if *key == candidates);
-    if !replayed {
-        let seq = emit_groups(cache, &candidates, &config.grouping, budget);
-        cache.groups = Some((candidates.clone(), seq));
-    }
-
     // Resolver snapshots always carry ground truth (truth := observed), so
     // the oracle selection matches the one-shot path with `has_truth = true`.
     // The oracle is rebuilt every batch: simulated verdicts depend on current
     // cluster contents and are never replayed.
-    let mut oracle: Box<dyn Oracle> = if mode == AutoMode::Auto {
-        Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64))
-    } else {
-        Box::new(ApproveAllOracle)
-    };
-
-    let (_, groups) = cache.groups.as_ref().expect("groups just cached");
-    let mut reviewed = 0;
-    let mut approved: Vec<ApprovedGroup> = Vec::new();
-    for group in groups {
-        if reviewed >= budget {
-            break;
-        }
-        reviewed += 1;
-        if let Verdict::Approve(direction) = oracle.review(group) {
-            engine.apply_group(group.members(), direction);
-            approved.push(ApprovedGroup {
-                group: group.clone(),
-                direction,
-            });
-        }
-    }
-
-    let report = ColumnReport {
-        column: col,
-        candidates: candidates.len(),
-        groups_reviewed: reviewed,
-        groups_approved: approved.len(),
-        cells_updated: engine.cells_updated(),
-    };
-    dataset.set_column_values(col, engine.into_values());
+    let mut oracle = mode.oracle(dataset, col, true);
+    let mut replayed = false;
+    let (report, approved) =
+        review_column(dataset, col, config.budget, oracle.as_mut(), |values| {
+            let merged = merged_candidates(cache, &values, config);
+            let engine = ReplacementEngine::from_parts(values, merged);
+            let candidates = engine.candidates();
+            replayed = matches!(&cache.groups, Some((key, _)) if *key == candidates);
+            if !replayed {
+                let seq = emit_groups(cache, &candidates, &config.grouping, config.budget);
+                cache.groups = Some((candidates, seq));
+            }
+            let (key, groups) = cache.groups.as_ref().expect("groups just cached");
+            (engine, key.len(), groups.iter().map(Cow::Borrowed))
+        });
     for group in &approved {
         library.record(column_name, group);
     }
@@ -646,6 +618,7 @@ mod tests {
             &cols,
             mode,
             true,
+            None,
             Some(&mut library),
         );
         let golden = pipeline.discover_golden_records(&dataset, TruthMethod::MajorityConsensus);

@@ -2,33 +2,19 @@
 //!
 //! `ec resolve` and `ec consolidate` historically ran as two passes that
 //! round-tripped through a full clustered CSV on disk. [`FusedPipeline`]
-//! removes the intermediate file: it wires an [`ec_data::RecordStream`]
-//! straight through the streaming resolver
-//! ([`ec_resolution::Resolver::resolve_stream`]) into
-//! [`Pipeline::golden_records`], so flat records go in one end and golden
-//! records come out the other while only the resolved dataset (never the
-//! input document) is held in memory.
+//! removes the intermediate file: it pairs the streaming resolver
+//! ([`ec_resolution::Resolver::resolve_stream`]) with the consolidation
+//! [`Pipeline`], so flat records go in one end and the resolved dataset goes
+//! straight to [`crate::standardize_columns`] and truth discovery, while only
+//! the resolved dataset (never the input document) is held in memory.
 //!
 //! The output is bit-identical to the two-pass flow on the same input: the
 //! streaming resolver reproduces the batch resolver exactly, and the
 //! clustered-CSV round trip between the passes is order-preserving.
 
-use crate::oracle::Oracle;
-use crate::pipeline::{GoldenRecordReport, Pipeline, TruthMethod};
+use crate::pipeline::{ConsolidationConfig, Pipeline};
 use ec_data::{Dataset, DatasetIoError, RecordStream};
 use ec_resolution::{Resolver, ResolverConfig};
-
-use crate::pipeline::ConsolidationConfig;
-
-/// The outcome of a fused run: the resolved-and-standardized dataset plus the
-/// golden-record report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedRun {
-    /// The resolved clusters after standardization.
-    pub dataset: Dataset,
-    /// Per-column standardization reports and the golden records.
-    pub report: GoldenRecordReport,
-}
 
 /// The fused pipeline: entity resolution feeding entity consolidation
 /// without an intermediate file.
@@ -69,54 +55,6 @@ impl FusedPipeline {
     ) -> Result<Dataset, DatasetIoError> {
         self.resolver.resolve_stream(name, stream)
     }
-
-    /// The full fused run with one oracle for every column: resolve the
-    /// stream, then wire the result straight into
-    /// [`Pipeline::golden_records`].
-    pub fn run<S: RecordStream + ?Sized>(
-        &self,
-        name: &str,
-        stream: &mut S,
-        oracle: &mut dyn Oracle,
-        method: TruthMethod,
-    ) -> Result<FusedRun, DatasetIoError> {
-        let mut dataset = self.resolve_stream(name, stream)?;
-        let report = self.pipeline.golden_records(&mut dataset, oracle, method);
-        Ok(FusedRun { dataset, report })
-    }
-
-    /// The full fused run with a fresh oracle per column, built by
-    /// `make_oracle` from the dataset *as standardized so far* — the shape
-    /// the CLI needs, where the simulated expert for column `c` is seeded
-    /// from the dataset state after columns `0..c` were standardized.
-    pub fn run_with<S, F>(
-        &self,
-        name: &str,
-        stream: &mut S,
-        mut make_oracle: F,
-        method: TruthMethod,
-    ) -> Result<FusedRun, DatasetIoError>
-    where
-        S: RecordStream + ?Sized,
-        F: FnMut(&Dataset, usize) -> Box<dyn Oracle>,
-    {
-        let mut dataset = self.resolve_stream(name, stream)?;
-        let columns = (0..dataset.columns.len())
-            .map(|col| {
-                let mut oracle = make_oracle(&dataset, col);
-                self.pipeline
-                    .standardize_column(&mut dataset, col, oracle.as_mut())
-            })
-            .collect();
-        let golden_records = self.pipeline.discover_golden_records(&dataset, method);
-        Ok(FusedRun {
-            dataset,
-            report: GoldenRecordReport {
-                columns,
-                golden_records,
-            },
-        })
-    }
 }
 
 impl Default for FusedPipeline {
@@ -128,7 +66,9 @@ impl Default for FusedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consolidate::{standardize_columns, AutoMode};
     use crate::oracle::{ApproveAllOracle, SimulatedOracle};
+    use crate::pipeline::TruthMethod;
     use ec_data::{dataset_from_csv, dataset_to_csv, FlatCsvReader, FlatRecord, VecRecordStream};
 
     /// Flat records with name variants that resolve into two clusters.
@@ -166,17 +106,15 @@ mod tests {
             },
         );
         let mut stream = VecRecordStream::new(columns, records);
-        let run = fused
-            .run(
-                "fused",
-                &mut stream,
-                &mut ApproveAllOracle,
-                TruthMethod::MajorityConsensus,
-            )
-            .unwrap();
-        assert_eq!(run.report.columns.len(), 2);
-        assert_eq!(run.report.golden_records.len(), run.dataset.clusters.len());
-        assert!(run.dataset.clusters.len() < 6, "similar records merged");
+        let mut dataset = fused.resolve_stream("fused", &mut stream).unwrap();
+        let report = fused.pipeline().golden_records(
+            &mut dataset,
+            &mut ApproveAllOracle,
+            TruthMethod::MajorityConsensus,
+        );
+        assert_eq!(report.columns.len(), 2);
+        assert_eq!(report.golden_records.len(), dataset.clusters.len());
+        assert!(dataset.clusters.len() < 6, "similar records merged");
     }
 
     #[test]
@@ -212,34 +150,37 @@ mod tests {
         let two_pass_golden =
             pipeline.discover_golden_records(&two_pass, TruthMethod::MajorityConsensus);
 
-        // Fused: same records, no intermediate CSV.
+        // Fused: same records, no intermediate CSV — the resolved stream goes
+        // straight into the shared consolidation driver, as `ec pipeline`
+        // runs it.
         let fused = FusedPipeline::new(resolver_config, consolidation);
         let mut stream = VecRecordStream::new(columns, records);
-        let run = fused
-            .run_with(
-                "input",
-                &mut stream,
-                |dataset, col| Box::new(SimulatedOracle::for_column(dataset, col, 7 + col as u64)),
-                TruthMethod::MajorityConsensus,
-            )
-            .unwrap();
+        let mut dataset = fused.resolve_stream("input", &mut stream).unwrap();
+        let all: Vec<usize> = (0..dataset.columns.len()).collect();
+        let fused_reports = standardize_columns(
+            fused.pipeline(),
+            &mut dataset,
+            &all,
+            AutoMode::Auto,
+            true,
+            None,
+            None,
+        );
+        let fused_golden = fused
+            .pipeline()
+            .discover_golden_records(&dataset, TruthMethod::MajorityConsensus);
 
-        assert_eq!(run.dataset.clusters, two_pass.clusters);
-        assert_eq!(run.report.columns, reports);
-        assert_eq!(run.report.golden_records, two_pass_golden);
-        assert_eq!(dataset_to_csv(&run.dataset), dataset_to_csv(&two_pass));
+        assert_eq!(dataset.clusters, two_pass.clusters);
+        assert_eq!(fused_reports, reports);
+        assert_eq!(fused_golden, two_pass_golden);
+        assert_eq!(dataset_to_csv(&dataset), dataset_to_csv(&two_pass));
     }
 
     #[test]
     fn stream_errors_abort_the_run() {
         let text = "source,Name\n0,ok\nnope,bad\n";
         let mut stream = FlatCsvReader::new(text.as_bytes()).unwrap();
-        let result = FusedPipeline::default().run(
-            "x",
-            &mut stream,
-            &mut ApproveAllOracle,
-            TruthMethod::MajorityConsensus,
-        );
+        let result = FusedPipeline::default().resolve_stream("x", &mut stream);
         assert!(result.is_err());
     }
 }

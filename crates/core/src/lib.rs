@@ -39,15 +39,12 @@ pub mod library;
 pub mod oracle;
 pub mod pipeline;
 
-pub use compiled::{
-    compile_dataset, standardize_columns_compiled, CompiledColumn, CompiledDataset,
-    CompiledPartition,
-};
+pub use compiled::{compile_dataset, CompiledColumn, CompiledDataset, CompiledPartition};
 pub use consolidate::{
     resolve_column_spec, standardize_columns, write_golden_records_csv, AutoMode,
 };
 pub use delta::{BatchReport, DeltaPipeline};
-pub use fused::{FusedPipeline, FusedRun};
+pub use fused::FusedPipeline;
 pub use library::{
     ApplyReport, ApprovedGroup, LearnedProgram, LibraryApplier, LibraryError, ProgramLibrary,
     ValueOutcome,

@@ -1,11 +1,15 @@
 //! The golden-record creation pipeline (Algorithm 1).
 
+use crate::compiled::CompiledColumn;
+use crate::library::ApprovedGroup;
 use crate::oracle::{Oracle, Verdict};
 use ec_data::Dataset;
-use ec_grouping::{GroupingConfig, StructuredGrouper};
+use ec_grouping::{Group, GroupingConfig, StructuredGrouper};
 use ec_replace::{CandidateConfig, ReplacementEngine};
 use ec_truth::{majority_consensus, reliability_truth_discovery, Claim, ReliabilityConfig};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Which truth-discovery method closes the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,34 +121,44 @@ impl Pipeline {
         dataset: &mut Dataset,
         col: usize,
         oracle: &mut dyn Oracle,
-    ) -> (ColumnReport, Vec<crate::ApprovedGroup>) {
-        let _span = ec_obs::span!("core.standardize_column", col);
-        let values = dataset.column_values(col);
-        let mut engine = ReplacementEngine::new(values, &self.config.candidates);
-        let candidates = engine.candidates();
-        let mut grouper = StructuredGrouper::new(&candidates, self.config.grouping.clone());
-        let mut reviewed = 0usize;
-        let mut approved = Vec::new();
-        while reviewed < self.config.budget {
-            let group = match grouper.next_group() {
-                Some(g) => g,
-                None => break,
+    ) -> (ColumnReport, Vec<ApprovedGroup>) {
+        self.standardize_column_from(dataset, col, None, oracle)
+    }
+
+    /// [`Pipeline::standardize_column_traced`], replaying `compiled` when it
+    /// is given: the engine is reassembled from the stored candidate sets and
+    /// the grouper from the stored partitions, skipping candidate generation,
+    /// graph construction and indexing. The output is identical either way.
+    pub fn standardize_column_from(
+        &self,
+        dataset: &mut Dataset,
+        col: usize,
+        compiled: Option<&CompiledColumn>,
+        oracle: &mut dyn Oracle,
+    ) -> (ColumnReport, Vec<ApprovedGroup>) {
+        let grouping = self.config.grouping.clone();
+        review_column(dataset, col, self.config.budget, oracle, |values| {
+            let engine = match compiled {
+                Some(compiled) => {
+                    ReplacementEngine::from_parts(values, compiled.candidates.clone())
+                }
+                None => ReplacementEngine::new(values, &self.config.candidates),
             };
-            reviewed += 1;
-            if let Verdict::Approve(direction) = oracle.review(&group) {
-                engine.apply_group(group.members(), direction);
-                approved.push(crate::ApprovedGroup { group, direction });
-            }
-        }
-        let report = ColumnReport {
-            column: col,
-            candidates: candidates.len(),
-            groups_reviewed: reviewed,
-            groups_approved: approved.len(),
-            cells_updated: engine.cells_updated(),
-        };
-        dataset.set_column_values(col, engine.into_values());
-        (report, approved)
+            let candidates = engine.candidates();
+            let mut grouper = match compiled {
+                Some(compiled) => {
+                    let parts = compiled
+                        .partitions
+                        .iter()
+                        .map(|p| (p.members.clone(), Arc::clone(&p.prepared)))
+                        .collect();
+                    StructuredGrouper::from_compiled(parts, grouping)
+                }
+                None => StructuredGrouper::new(&candidates, grouping),
+            };
+            let groups = std::iter::from_fn(move || grouper.next_group()).map(Cow::Owned);
+            (engine, candidates.len(), groups)
+        })
     }
 
     /// Runs truth discovery over the (already standardized) dataset and
@@ -227,6 +241,47 @@ impl Default for Pipeline {
     fn default() -> Self {
         Pipeline::new(ConsolidationConfig::default())
     }
+}
+
+/// Standardizes one column in place (Algorithm 1, lines 2–9) — the one review
+/// loop behind the fresh, compiled and delta paths. `prepare` turns the
+/// column's cluster values into the replacement engine, its candidate count
+/// and the groups to review, largest first; the oracle then reviews groups
+/// until the budget is exhausted, and every approved group is applied.
+/// Returns the report and the approved groups in review order.
+pub(crate) fn review_column<'g, G>(
+    dataset: &mut Dataset,
+    col: usize,
+    budget: usize,
+    oracle: &mut dyn Oracle,
+    prepare: impl FnOnce(Vec<Vec<String>>) -> (ReplacementEngine, usize, G),
+) -> (ColumnReport, Vec<ApprovedGroup>)
+where
+    G: Iterator<Item = Cow<'g, Group>>,
+{
+    let _span = ec_obs::span!("core.standardize_column", col);
+    let (mut engine, candidates, groups) = prepare(dataset.column_values(col));
+    let mut reviewed = 0usize;
+    let mut approved = Vec::new();
+    for group in groups.take(budget) {
+        reviewed += 1;
+        if let Verdict::Approve(direction) = oracle.review(&group) {
+            engine.apply_group(group.members(), direction);
+            approved.push(ApprovedGroup {
+                group: group.into_owned(),
+                direction,
+            });
+        }
+    }
+    let report = ColumnReport {
+        column: col,
+        candidates,
+        groups_reviewed: reviewed,
+        groups_approved: approved.len(),
+        cells_updated: engine.cells_updated(),
+    };
+    dataset.set_column_values(col, engine.into_values());
+    (report, approved)
 }
 
 #[cfg(test)]

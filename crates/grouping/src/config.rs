@@ -36,24 +36,11 @@ pub struct GroupingConfig {
     /// workloads where the budget binds, since pruning strength then decides
     /// where a search is cut off.
     pub max_search_steps: usize,
-    /// Build transformation graphs on multiple threads (per-thread label
-    /// interners merged afterwards). Deterministic regardless of the setting.
-    pub parallel_graph_build: bool,
-    /// Run each pivot-path search through the explicit-frontier engine, whose
-    /// root-level subtrees are independent `SearchTask` subproblems that can
-    /// execute on the shared worker pool when there are more workers than
-    /// graphs to search — the only way `--threads` helps a *single* expensive
-    /// search (the mega-group shape). The engine's task decomposition is
-    /// fixed per search (deterministic waves, snapshot bounds, in-order
-    /// reduction), so results are bit-identical for every thread count;
-    /// disabling this restores the plain recursive DFS, which can differ from
-    /// the engine only on searches truncated by
-    /// [`GroupingConfig::max_search_steps`].
-    pub intra_search_sharding: bool,
-    /// Worker threads for the sharded stages: graph preparation and the
+    /// Worker threads for the sharded stages: graph preparation, the
     /// per-graph pivot-path searches of the one-shot and incremental
-    /// groupers. Every setting produces bit-identical groups; only the
-    /// wall-clock time changes (see `ec_graph::Parallelism`).
+    /// groupers, and the frontier waves inside one search when workers
+    /// outnumber the graphs to search. Every setting produces bit-identical
+    /// groups; only the wall-clock time changes (see `ec_graph::Parallelism`).
     pub parallelism: Parallelism,
 }
 
@@ -74,8 +61,6 @@ impl Default for GroupingConfig {
             early_termination: true,
             structure_refinement: true,
             max_search_steps: 50_000,
-            parallel_graph_build: true,
-            intra_search_sharding: true,
             parallelism: Parallelism::AUTO,
         }
     }
@@ -119,7 +104,6 @@ mod tests {
         assert!(c.early_termination);
         assert!(c.structure_refinement);
         assert!(c.graph.enable_affix);
-        assert!(c.intra_search_sharding);
     }
 
     #[test]

@@ -106,8 +106,8 @@ impl IncrementalGrouper {
     /// mega-group partition (one huge cluster of lookalikes) used to pin a
     /// single worker while the rest of the pool idled. Those batches now
     /// engage the frontier engine's parallel wave scheduling *inside* each
-    /// search ([`GroupingConfig::intra_search_sharding`]), so `--threads`
-    /// cuts time-to-first-group on exactly the worst-case columns.
+    /// search (the frontier engine's waves), so `--threads` cuts
+    /// time-to-first-group on exactly the worst-case columns.
     pub fn next_group(&mut self) -> Option<Group> {
         if self.remaining == 0 {
             return self.skipped.pop().map(Group::singleton);

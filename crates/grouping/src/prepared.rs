@@ -50,7 +50,7 @@ impl PreparedGraphs {
         let mut skipped = Vec::new();
 
         let threads = config.parallelism.threads();
-        if config.parallel_graph_build && threads > 1 && unique.len() >= 64 {
+        if threads > 1 && unique.len() >= 64 {
             // Chunks run as `'static` tasks on the shared worker pool, so the
             // replacements move behind an `Arc` and each task gets an index
             // range instead of a borrowed slice.
@@ -282,6 +282,7 @@ impl PreparedGraphs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_graph::Parallelism;
 
     fn reps() -> Vec<Replacement> {
         vec![
@@ -343,14 +344,14 @@ mod tests {
         let seq = PreparedGraphs::build(
             &many,
             &GroupingConfig {
-                parallel_graph_build: false,
+                parallelism: Parallelism::fixed(1),
                 ..GroupingConfig::default()
             },
         );
         let par = PreparedGraphs::build(
             &many,
             &GroupingConfig {
-                parallel_graph_build: true,
+                parallelism: Parallelism::fixed(4),
                 ..GroupingConfig::default()
             },
         );
@@ -377,7 +378,7 @@ mod tests {
         many.push(Replacement::new("value 3 alpha", "alpha value 3"));
         many.push(Replacement::new("fresh, one", "one fresh"));
         let config = GroupingConfig {
-            parallel_graph_build: false,
+            parallelism: Parallelism::fixed(1),
             ..GroupingConfig::default()
         };
         for split in [0usize, 1, 17, 40, many.len()] {

@@ -28,7 +28,7 @@
 //! long inverted lists) impossible to parallelize: `search_many` shards
 //! across graphs-to-search, so one mega search pinned a single worker while
 //! the rest of the pool idled. The search now runs on an explicit-frontier
-//! engine ([`GroupingConfig::intra_search_sharding`], on by default):
+//! engine:
 //!
 //! * the root's viable extensions are computed once and each becomes a
 //!   [`SearchTask`] — an independent subproblem carrying its path prefix,
@@ -270,6 +270,16 @@ impl BoundRaises {
     }
 }
 
+/// How one search explores below the root.
+#[derive(Clone, Copy)]
+enum Explore {
+    /// The frontier engine; the parallelism only schedules its waves.
+    Frontier(Parallelism),
+    /// The whole search as one recursive DFS: the frontier engine's oracle.
+    #[cfg(test)]
+    PlainDfs,
+}
+
 /// One frontier subproblem of the intra-search engine: explore every
 /// pivot-path completion below one root extension of the searched graph.
 /// Everything a task reads is snapshotted at spawn time, so a task is a pure
@@ -355,23 +365,18 @@ impl PivotSearcher {
         let own_bound = lower_bounds[g.index()];
         let mut raised = BoundRaises::default();
         let active: Arc<[bool]> = active.into();
-        let result = self.search_with_bounds(
-            g,
-            threshold,
-            &active,
-            own_bound,
-            &mut raised,
-            Parallelism::SEQUENTIAL,
-        );
+        let explore = Explore::Frontier(Parallelism::SEQUENTIAL);
+        let result =
+            self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore);
         raised.merge_into(lower_bounds);
         result
     }
 
     /// The core search: reads only `own_bound` (the searched graph's own
     /// global threshold) and records every bound raise into the write-only
-    /// `raised` list, without ever reading other graphs' entries. `waves`
-    /// decides only where the frontier engine's wave tasks run (inline or on
-    /// the shared pool) — never what they compute.
+    /// `raised` list, without ever reading other graphs' entries. The
+    /// frontier's parallelism decides only where the engine's wave tasks run
+    /// (inline or on the shared pool) — never what they compute.
     fn search_with_bounds(
         &self,
         g: GraphId,
@@ -379,7 +384,7 @@ impl PivotSearcher {
         active: &Arc<[bool]>,
         own_bound: u32,
         raised: &mut BoundRaises,
-        waves: Parallelism,
+        explore: Explore,
     ) -> Option<PivotResult> {
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
@@ -422,11 +427,15 @@ impl PivotSearcher {
         let reachable =
             state.dist_to_end.first().copied().unwrap_or(u32::MAX) as usize <= state.max_path_len;
         if reachable {
-            if self.config.intra_search_sharding && graph.last_node() != 0 {
-                self.run_frontier(g, &mut state, &universe, active, &dist_to_end, waves);
-            } else {
-                let mut path = Vec::new();
-                dfs(graph, g, 0, &mut path, &universe, 0, &mut state);
+            match explore {
+                Explore::Frontier(waves) if graph.last_node() != 0 => {
+                    self.run_frontier(g, &mut state, &universe, active, &dist_to_end, waves);
+                }
+                // A one-node graph has no root extension to split into tasks.
+                _ => {
+                    let mut path = Vec::new();
+                    dfs(graph, g, 0, &mut path, &universe, 0, &mut state);
+                }
             }
         }
         let metrics = search_metrics();
@@ -622,8 +631,8 @@ impl PivotSearcher {
     ///
     /// When workers outnumber the graphs to search (the mega-group shape —
     /// one or two huge searches pinning a single worker while the rest of
-    /// the pool idles) and [`GroupingConfig::intra_search_sharding`] is on,
-    /// each search additionally runs its frontier waves *in parallel* on the
+    /// the pool idles), each search additionally runs its frontier waves *in
+    /// parallel* on the
     /// same pool. That choice is scheduling-only: the engine computes the
     /// same task tree either way, so it never affects results.
     pub fn search_many(
@@ -639,11 +648,11 @@ impl PivotSearcher {
         let chunk_size = gids.len().div_ceil(shards.max(1)).max(1);
         // Intra-search wave scheduling: worth paying for only when workers
         // outnumber the graphs to search; results are identical either way.
-        let waves = if self.config.intra_search_sharding && parallelism.threads() > gids.len() {
+        let explore = Explore::Frontier(if parallelism.threads() > gids.len() {
             parallelism
         } else {
             Parallelism::SEQUENTIAL
-        };
+        });
         let active: Arc<[bool]> = active.into();
         type ShardOutput = (Vec<Option<PivotResult>>, BoundRaises);
         let shard_outputs: Vec<ShardOutput> = if shards <= 1 {
@@ -657,7 +666,7 @@ impl PivotSearcher {
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|(g, own_bound)| {
-                    self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, waves)
+                    self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore)
                 })
                 .collect();
             vec![(results, raised)]
@@ -684,7 +693,7 @@ impl PivotSearcher {
                                     &active,
                                     own_bound,
                                     &mut raised,
-                                    waves,
+                                    explore,
                                 )
                             })
                             .collect();
@@ -1140,6 +1149,23 @@ mod tests {
         reps
     }
 
+    /// [`PivotSearcher::search`] at threshold 0 through the plain recursive
+    /// DFS: the frontier engine's oracle.
+    fn search_plain_dfs(
+        searcher: &PivotSearcher,
+        g: GraphId,
+        active: &[bool],
+        lower_bounds: &mut [u32],
+    ) -> Option<PivotResult> {
+        let mut raised = BoundRaises::default();
+        let own_bound = lower_bounds[g.index()];
+        let active: Arc<[bool]> = active.into();
+        let result =
+            searcher.search_with_bounds(g, 0, &active, own_bound, &mut raised, Explore::PlainDfs);
+        raised.merge_into(lower_bounds);
+        result
+    }
+
     #[test]
     fn frontier_engine_matches_the_plain_dfs_when_the_budget_is_unbound() {
         // With a step budget the search never exhausts, the frontier engine
@@ -1153,25 +1179,17 @@ mod tests {
             max_search_steps: 100_000_000,
             ..GroupingConfig::default()
         };
-        let dfs_config = GroupingConfig {
-            intra_search_sharding: false,
-            ..engine_config.clone()
-        };
-        assert!(engine_config.intra_search_sharding);
-        let prep_engine = prepared(&reps, &engine_config);
-        let prep_dfs = prepared(&reps, &dfs_config);
-        let engine = PivotSearcher::new(Arc::clone(&prep_engine), &engine_config);
-        let dfs = PivotSearcher::new(Arc::clone(&prep_dfs), &dfs_config);
+        let prep = prepared(&reps, &engine_config);
+        let searcher = PivotSearcher::new(Arc::clone(&prep), &engine_config);
         let active = vec![true; reps.len()];
         let mut bounds_engine = vec![1u32; reps.len()];
         let mut bounds_dfs = vec![1u32; reps.len()];
         for g in 0..reps.len() {
-            let a = engine
+            let a = searcher
                 .search(GraphId(g as u32), 0, &active, &mut bounds_engine)
                 .unwrap();
-            let b = dfs
-                .search(GraphId(g as u32), 0, &active, &mut bounds_dfs)
-                .unwrap();
+            let b =
+                search_plain_dfs(&searcher, GraphId(g as u32), &active, &mut bounds_dfs).unwrap();
             assert_eq!(a.path, b.path, "graph {g}");
             assert_eq!(a.share_count, b.share_count, "graph {g}");
             assert_eq!(a.complete, b.complete, "graph {g}");

@@ -9,7 +9,11 @@
 //!   blocking column(s) become a candidate pair;
 //! * **sorted neighborhood** — records are sorted by a blocking key and every
 //!   pair within a sliding window becomes a candidate.
+//!
+//! Both live in one incremental `BlockingIndex`, which every resolver entry
+//! point (batch, streaming and delta) uses to generate its candidates.
 
+use crate::matcher::{BlockingScheme, ResolverConfig};
 use crate::tokenize::{normalize_into, words_into, TokenBuf};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -37,7 +41,7 @@ impl Default for BlockingConfig {
     }
 }
 
-pub(crate) fn blocking_columns(config: &BlockingConfig, num_columns: usize) -> Vec<usize> {
+fn blocking_columns(config: &BlockingConfig, num_columns: usize) -> Vec<usize> {
     if config.columns.is_empty() {
         (0..num_columns).collect()
     } else {
@@ -50,16 +54,153 @@ pub(crate) fn blocking_columns(config: &BlockingConfig, num_columns: usize) -> V
     }
 }
 
-/// Token blocking: every pair of records that share at least one word token in
-/// a blocking column becomes a candidate. Pairs are returned deduplicated,
-/// ordered, and with `a < b`.
+/// One token block: the ids of the records containing the token, or a
+/// tombstone once the block outgrew the configured cap.
+enum TokenBlock {
+    Ids(Vec<u32>),
+    Oversized,
+}
+
+/// The token-block and sorted-neighborhood index — the one candidate-pair
+/// generator behind every resolver entry point.
 ///
-/// `records[i]` is anything that exposes the field slice of record `i` —
-/// `Vec<String>` or a borrowed [`crate::matcher::RawRecord`] — so callers
-/// never have to clone fields just to run blocking. Tokenization goes through
-/// one reused [`TokenBuf`] (distinct tokens per record, no per-token
-/// allocation).
-pub fn token_blocking_pairs<R: AsRef<[String]>>(
+/// The index holds no records: record `i` of the slices handed to
+/// [`BlockingIndex::candidate_pairs`] (counted across calls) gets id `i`.
+/// Callers that grow their records between calls pass only the new tail, so
+/// blocks and keys are built once per record. Token blocks have *bounded
+/// memory*: a block that outgrows `max_block_size` becomes an `Oversized`
+/// tombstone and its id list is dropped.
+#[derive(Default)]
+pub(crate) struct BlockingIndex {
+    /// Records indexed so far.
+    len: usize,
+    /// Which columns contribute blocking tokens/keys; locked in by the first
+    /// record's column count.
+    cols: Vec<usize>,
+    token_blocks: HashMap<String, TokenBlock>,
+    sn_keys: Vec<(String, u32)>,
+    /// Reusable tokenization scratch.
+    token_buf: TokenBuf,
+    key_scratch: String,
+}
+
+impl BlockingIndex {
+    /// Records indexed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Indexes one record's fields under the next id.
+    fn push(&mut self, config: &ResolverConfig, fields: &[String]) {
+        let id = u32::try_from(self.len).expect("record ids fit in u32");
+        if self.len == 0 {
+            self.cols = blocking_columns(&config.blocking, fields.len());
+        }
+        self.len += 1;
+        let max_block_size = config.blocking.max_block_size;
+        if matches!(config.scheme, BlockingScheme::Token | BlockingScheme::Both) {
+            let buf = &mut self.token_buf;
+            buf.clear();
+            for &col in &self.cols {
+                words_into(&fields[col], buf);
+            }
+            let distinct = buf.sort_dedup_tokens();
+            for t in 0..distinct {
+                let token = buf.token(t);
+                if let Some(block) = self.token_blocks.get_mut(token) {
+                    if let TokenBlock::Ids(ids) = block {
+                        ids.push(id);
+                        if ids.len() > max_block_size {
+                            *block = TokenBlock::Oversized;
+                        }
+                    }
+                } else {
+                    // A brand-new block only outlives its first record when
+                    // the cap allows a block of one.
+                    let block = if max_block_size < 1 {
+                        TokenBlock::Oversized
+                    } else {
+                        TokenBlock::Ids(vec![id])
+                    };
+                    self.token_blocks.insert(token.to_string(), block);
+                }
+            }
+        }
+        if matches!(
+            config.scheme,
+            BlockingScheme::SortedNeighborhood | BlockingScheme::Both
+        ) {
+            let mut key = String::new();
+            for (i, &c) in self.cols.iter().enumerate() {
+                if i > 0 {
+                    key.push('\u{1}');
+                }
+                normalize_into(&fields[c], &mut self.key_scratch);
+                key.push_str(&self.key_scratch);
+            }
+            self.sn_keys.push((key, id));
+        }
+    }
+
+    /// Indexes `new_records` after the records already indexed, then returns
+    /// the candidate pairs of every indexed record: token blocking (records
+    /// sharing a word token in a blocking column, blocks above
+    /// `max_block_size` skipped) and/or sorted neighborhood (every pair within
+    /// a sliding `window` over the sorted keys), deduplicated, ordered, and
+    /// with `a < b`.
+    ///
+    /// The pair set is regenerated on every call and is *non-monotone*: a
+    /// block can outgrow the cap and a window shifts as keys insert between
+    /// old neighbors. `sn_keys` is sorted in place (sorting is idempotent,
+    /// and keys appended later are re-sorted by the next call), so no
+    /// O(records) copy is made at the peak-memory moment.
+    pub(crate) fn candidate_pairs<R: AsRef<[String]>>(
+        &mut self,
+        config: &ResolverConfig,
+        new_records: &[R],
+    ) -> Vec<(u32, u32)> {
+        let _span = ec_obs::span!("resolution.blocking", new_records.len());
+        for record in new_records {
+            self.push(config, record.as_ref());
+        }
+        if self.len < 2 {
+            return Vec::new();
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for block in self.token_blocks.values() {
+            let TokenBlock::Ids(ids) = block else {
+                continue;
+            };
+            // Ids within a block are appended in push order, so they are
+            // already ascending — `(a, b)` is canonical without min/max.
+            for (i, &a) in ids.iter().enumerate() {
+                for &b in &ids[i + 1..] {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        let window = config.blocking.window;
+        if window >= 2 {
+            self.sn_keys.sort();
+            for (i, (_, a)) in self.sn_keys.iter().enumerate() {
+                for (_, b) in self.sn_keys.iter().skip(i + 1).take(window - 1) {
+                    pairs.push(((*a).min(*b), (*a).max(*b)));
+                }
+            }
+        }
+        // Sort-and-dedup beats a hash set here: most blocks emit runs of
+        // nearly-sorted pairs.
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+}
+
+/// Batch token blocking, kept as [`BlockingIndex`]'s test oracle: every pair
+/// of records that share at least one word token in a blocking column becomes
+/// a candidate. Pairs are returned deduplicated, ordered, and with `a < b`.
+#[cfg(test)]
+pub(crate) fn token_blocking_pairs<R: AsRef<[String]>>(
     records: &[R],
     config: &BlockingConfig,
 ) -> Vec<(usize, usize)> {
@@ -101,11 +242,13 @@ pub fn token_blocking_pairs<R: AsRef<[String]>>(
     pairs
 }
 
-/// Sorted-neighborhood blocking: records are sorted by the concatenation of
-/// their normalized blocking-column values, and every pair within a sliding
-/// window of size `config.window` becomes a candidate. Pairs are returned
-/// deduplicated, ordered, and with `a < b`.
-pub fn sorted_neighborhood_pairs<R: AsRef<[String]>>(
+/// Batch sorted-neighborhood blocking, kept as [`BlockingIndex`]'s test
+/// oracle: records are sorted by the concatenation of their normalized
+/// blocking-column values, and every pair within a sliding window of size
+/// `config.window` becomes a candidate. Pairs are returned deduplicated,
+/// ordered, and with `a < b`.
+#[cfg(test)]
+pub(crate) fn sorted_neighborhood_pairs<R: AsRef<[String]>>(
     records: &[R],
     config: &BlockingConfig,
 ) -> Vec<(usize, usize)> {
@@ -238,6 +381,35 @@ mod tests {
         assert!(narrow.len() <= wide.len());
         // With a window covering all records every pair is a candidate.
         assert_eq!(wide.len(), recs.len() * (recs.len() - 1) / 2);
+    }
+
+    #[test]
+    fn oversized_blocks_hold_bounded_state() {
+        let config = ResolverConfig {
+            scheme: BlockingScheme::Token,
+            blocking: BlockingConfig {
+                max_block_size: 3,
+                ..BlockingConfig::default()
+            },
+            ..ResolverConfig::default()
+        };
+        let records: Vec<Vec<String>> = (0..100)
+            .map(|i| vec![format!("shared unique{i}")])
+            .collect();
+        let mut index = BlockingIndex::default();
+        assert!(index.candidate_pairs(&config, &records).is_empty());
+        let oversized = index
+            .token_blocks
+            .values()
+            .filter(|b| matches!(b, TokenBlock::Oversized))
+            .count();
+        assert_eq!(oversized, 1, "the 'shared' block was tombstoned");
+        for block in index.token_blocks.values() {
+            if let TokenBlock::Ids(ids) = block {
+                assert!(ids.len() <= 3);
+            }
+        }
+        assert_eq!(index.len(), 100);
     }
 
     #[test]

@@ -15,19 +15,19 @@
 //!   bit-parallel kernels with threshold-aware early-abandon entry points;
 //! * [`reference`] — the pre-rewrite textbook kernels, frozen verbatim as
 //!   differential test references and benchmark baselines;
-//! * [`blocking`] — token blocking and sorted-neighborhood candidate
-//!   generation so that resolution does not need to compare all `O(n²)` pairs;
+//! * [`blocking`] — the incremental token-blocking and sorted-neighborhood
+//!   index every entry point generates candidates with, so that resolution
+//!   does not need to compare all `O(n²)` pairs;
 //! * [`unionfind`] — a disjoint-set forest used to turn matching pairs into
 //!   clusters;
 //! * [`matcher`] — the record-pair matcher (per-column similarity measures,
 //!   weights, and a match threshold) and the [`matcher::Resolver`] that ties
 //!   everything together and emits an [`ec_data::Dataset`] ready for the
 //!   consolidation pipeline;
-//! * [`streaming`] — the record-at-a-time ingestion path:
-//!   [`matcher::Resolver::resolve_stream`] consumes an
-//!   [`ec_data::RecordStream`] and builds blocks and the union-find
-//!   incrementally with bounded per-block memory, producing output
-//!   bit-identical to the batch path.
+//! * [`streaming`] — the cross-batch [`DeltaResolver`], whose snapshots are
+//!   bit-identical to resolving everything pushed so far in one go
+//!   ([`matcher::Resolver::resolve_stream`] is the one-shot streaming entry
+//!   point).
 //!
 //! The design mirrors the classical match–cluster architecture surveyed by
 //! Elmagarmid et al. (cited as [18] in the paper): candidate generation via
@@ -59,7 +59,7 @@ pub mod streaming;
 pub mod tokenize;
 pub mod unionfind;
 
-pub use blocking::{sorted_neighborhood_pairs, token_blocking_pairs, BlockingConfig};
+pub use blocking::BlockingConfig;
 pub use ec_graph::Parallelism;
 pub use matcher::{
     BlockingScheme, ColumnRule, CompiledRules, MatchDecision, RawRecord, Resolver, ResolverConfig,
@@ -68,7 +68,7 @@ pub use similarity::{
     damerau_levenshtein, jaccard, jaro, jaro_winkler, levenshtein, normalized_levenshtein,
     qgram_cosine, take_kernel_path_counts, SimilarityMeasure, EARLY_ABANDON_MARGIN,
 };
-pub use streaming::{DeltaResolver, StreamingResolver};
+pub use streaming::DeltaResolver;
 pub use tokenize::{normalize, normalize_into, qgrams, words, words_into, TokenBuf};
 pub use unionfind::UnionFind;
 
@@ -77,5 +77,5 @@ pub mod prelude {
     pub use crate::blocking::BlockingConfig;
     pub use crate::matcher::{ColumnRule, RawRecord, Resolver, ResolverConfig};
     pub use crate::similarity::SimilarityMeasure;
-    pub use crate::streaming::{DeltaResolver, StreamingResolver};
+    pub use crate::streaming::DeltaResolver;
 }

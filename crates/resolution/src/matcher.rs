@@ -15,7 +15,7 @@
 //! column arity), pair scoring shards across the shared worker pool in
 //! contiguous chunks merged in candidate order (the same pattern as
 //! `ec-replace`'s candidate generation), and the threshold-only paths
-//! ([`Resolver::resolve`], `StreamingResolver::finish`) use early-abandon
+//! ([`Resolver::resolve`], [`Resolver::resolve_stream`]) use early-abandon
 //! scoring ([`CompiledRules::decide_score`]) that skips similarity kernels
 //! when a cheap upper bound proves the pair cannot reach the threshold.
 //! Every path is **bit-identical** to sequential exact scoring: exact scores
@@ -23,7 +23,7 @@
 //! delta resolver's cache), and abandoned pairs are provably sub-threshold
 //! (see [`crate::similarity::SimilarityMeasure::score_at_least`]).
 
-use crate::blocking::{sorted_neighborhood_pairs, token_blocking_pairs, BlockingConfig};
+use crate::blocking::{BlockingConfig, BlockingIndex};
 use crate::similarity::{take_kernel_path_counts, SimilarityMeasure};
 use crate::unionfind::UnionFind;
 use ec_data::{Cell, Cluster, Dataset, Row};
@@ -263,24 +263,6 @@ impl<'c> RuleCache<'c> {
     }
 }
 
-/// Record-index types the sharded scorer accepts (`usize` from batch
-/// blocking, `u32` from the streaming state).
-pub(crate) trait PairIx: Copy + Send + Sync + 'static {
-    fn ix(self) -> usize;
-}
-
-impl PairIx for usize {
-    fn ix(self) -> usize {
-        self
-    }
-}
-
-impl PairIx for u32 {
-    fn ix(self) -> usize {
-        self as usize
-    }
-}
-
 /// Minimum candidate count before scoring shards across the pool — below
 /// this, chunk bookkeeping (and the one-time record copy the `'static` pool
 /// tasks need) costs more than it saves.
@@ -317,10 +299,10 @@ fn flush_kernel_metrics(abandoned: u64) {
 /// `threshold: None` every returned value is the exact pair score; with
 /// `Some(t)` pairs may be early-abandoned to `f64::NEG_INFINITY` (provably
 /// `< t`), and values `>= t` are always exact.
-fn score_chunk<I: PairIx>(
+fn score_chunk(
     config: &ResolverConfig,
     records: &[RawRecord],
-    pairs: &[(I, I)],
+    pairs: &[(u32, u32)],
     threshold: Option<f64>,
 ) -> Vec<f64> {
     let mut cache = RuleCache::new(config);
@@ -328,7 +310,7 @@ fn score_chunk<I: PairIx>(
     let out = pairs
         .iter()
         .map(|&(a, b)| {
-            let (ra, rb) = (&records[a.ix()], &records[b.ix()]);
+            let (ra, rb) = (&records[a as usize], &records[b as usize]);
             let compiled = cache.get(ra.fields.len().min(rb.fields.len()));
             match threshold {
                 None => compiled.score(ra, rb),
@@ -340,24 +322,52 @@ fn score_chunk<I: PairIx>(
     out
 }
 
-/// Shards `pairs` into contiguous chunks over the worker pool and merges the
-/// per-chunk scores in order — the same in-order merge pattern as
-/// `ec-replace`'s candidate generation, so the output is bit-identical to the
-/// sequential loop at any thread count.
-fn score_pairs_pooled<I: PairIx>(
+/// The records pair scoring reads.
+pub(crate) enum Records<'a> {
+    /// Borrowed from a batch caller: copied behind an `Arc` only when
+    /// scoring shards (the pool needs `'static` tasks).
+    Borrowed(&'a [RawRecord]),
+    /// Already shared by the caller: never copied.
+    Shared(&'a Arc<Vec<RawRecord>>),
+}
+
+impl Records<'_> {
+    fn as_slice(&self) -> &[RawRecord] {
+        match self {
+            Records::Borrowed(records) => records,
+            Records::Shared(records) => records,
+        }
+    }
+}
+
+/// Scores candidate pairs — the one `resolution.scoring` site. Small or
+/// sequential workloads score in place; larger ones shard `pairs` into
+/// contiguous chunks over the worker pool and merge the per-chunk scores in
+/// order — the same in-order merge pattern as `ec-replace`'s candidate
+/// generation, so the output is bit-identical to the sequential loop at any
+/// thread count. See [`score_chunk`] for what `threshold` allows.
+pub(crate) fn score_pairs(
     config: &ResolverConfig,
     parallelism: Parallelism,
-    records: &Arc<Vec<RawRecord>>,
-    pairs: Vec<(I, I)>,
+    records: Records<'_>,
+    pairs: &[(u32, u32)],
     threshold: Option<f64>,
 ) -> Vec<f64> {
+    let _span = ec_obs::span!("resolution.scoring", pairs.len());
     let shards = parallelism.shards(pairs.len());
+    if pairs.len() < MIN_PARALLEL_PAIRS || shards <= 1 {
+        return score_chunk(config, records.as_slice(), pairs, threshold);
+    }
+    let records = match records {
+        Records::Borrowed(records) => Arc::new(records.to_vec()),
+        Records::Shared(records) => Arc::clone(records),
+    };
     let chunk = pairs.len().div_ceil(shards);
-    let pairs = Arc::new(pairs);
+    let pairs = Arc::new(pairs.to_vec());
     let config = Arc::new(config.clone());
     let tasks: Vec<PoolTask<Vec<f64>>> = (0..shards)
         .map(|s| {
-            let records = Arc::clone(records);
+            let records = Arc::clone(&records);
             let pairs = Arc::clone(&pairs);
             let config = Arc::clone(&config);
             Box::new(move || {
@@ -368,38 +378,6 @@ fn score_pairs_pooled<I: PairIx>(
         })
         .collect();
     parallelism.run_tasks(tasks).into_iter().flatten().collect()
-}
-
-/// Pair scoring over borrowed records: small or sequential workloads run in
-/// place; larger ones move one copy of the records behind an `Arc` (the pool
-/// needs `'static` tasks) and shard.
-fn score_pairs_slice<I: PairIx>(
-    config: &ResolverConfig,
-    parallelism: Parallelism,
-    records: &[RawRecord],
-    pairs: &[(I, I)],
-    threshold: Option<f64>,
-) -> Vec<f64> {
-    if pairs.len() < MIN_PARALLEL_PAIRS || parallelism.shards(pairs.len()) <= 1 {
-        return score_chunk(config, records, pairs, threshold);
-    }
-    let records = Arc::new(records.to_vec());
-    score_pairs_pooled(config, parallelism, &records, pairs.to_vec(), threshold)
-}
-
-/// Pair scoring over records already behind an `Arc` (the streaming state) —
-/// no record copy on any path.
-pub(crate) fn score_pairs_arc<I: PairIx>(
-    config: &ResolverConfig,
-    parallelism: Parallelism,
-    records: &Arc<Vec<RawRecord>>,
-    pairs: &[(I, I)],
-    threshold: Option<f64>,
-) -> Vec<f64> {
-    if pairs.len() < MIN_PARALLEL_PAIRS || parallelism.shards(pairs.len()) <= 1 {
-        return score_chunk(config, records, pairs, threshold);
-    }
-    score_pairs_pooled(config, parallelism, records, pairs.to_vec(), threshold)
 }
 
 /// The entity resolver.
@@ -441,42 +419,24 @@ impl Resolver {
         CompiledRules::compile(&self.config, a.fields.len().min(b.fields.len())).score(a, b)
     }
 
-    /// Generates the candidate pairs of `records` (sorted, deduplicated).
-    fn candidates(&self, records: &[RawRecord]) -> Vec<(usize, usize)> {
-        let _span = ec_obs::span!("resolution.blocking", records.len());
-        let mut candidates = match self.config.scheme {
-            BlockingScheme::Token => token_blocking_pairs(records, &self.config.blocking),
-            BlockingScheme::SortedNeighborhood => {
-                sorted_neighborhood_pairs(records, &self.config.blocking)
-            }
-            BlockingScheme::Both => {
-                let mut pairs = token_blocking_pairs(records, &self.config.blocking);
-                pairs.extend(sorted_neighborhood_pairs(records, &self.config.blocking));
-                pairs.sort_unstable();
-                pairs.dedup();
-                pairs
-            }
-        };
-        candidates.sort_unstable();
-        candidates
-    }
-
     /// Generates candidate pairs and scores each one. Decisions are returned
     /// in candidate order (sorted by record indices) and every score is
     /// exact — this entry point reports scores, so it never early-abandons.
     pub fn match_pairs(&self, records: &[RawRecord]) -> Vec<MatchDecision> {
-        if records.len() < 2 {
-            return Vec::new();
-        }
-        let candidates = self.candidates(records);
-        let _span = ec_obs::span!("resolution.scoring", candidates.len());
-        let scores = score_pairs_slice(&self.config, self.parallelism, records, &candidates, None);
+        let candidates = BlockingIndex::default().candidate_pairs(&self.config, records);
+        let scores = score_pairs(
+            &self.config,
+            self.parallelism,
+            Records::Borrowed(records),
+            &candidates,
+            None,
+        );
         candidates
             .into_iter()
             .zip(scores)
             .map(|((a, b), score)| MatchDecision {
-                a,
-                b,
+                a: a as usize,
+                b: b as usize,
                 score,
                 is_match: score >= self.config.threshold,
             })
@@ -491,23 +451,25 @@ impl Resolver {
     /// scoring early-abandons pairs that provably cannot reach the threshold;
     /// the clusters are identical to thresholding [`Resolver::match_pairs`].
     pub fn resolve(&self, records: &[RawRecord]) -> Vec<Vec<usize>> {
-        if records.len() < 2 {
-            return UnionFind::new(records.len()).into_groups();
-        }
-        let candidates = self.candidates(records);
-        let _span = ec_obs::span!("resolution.scoring", candidates.len());
+        self.cluster(Records::Borrowed(records))
+    }
+
+    /// Blocks, early-abandon scores and unions `records`.
+    fn cluster(&self, records: Records<'_>) -> Vec<Vec<usize>> {
+        let n = records.as_slice().len();
+        let candidates = BlockingIndex::default().candidate_pairs(&self.config, records.as_slice());
         let threshold = self.config.threshold;
-        let scores = score_pairs_slice(
+        let scores = score_pairs(
             &self.config,
             self.parallelism,
             records,
             &candidates,
             Some(threshold),
         );
-        let mut uf = UnionFind::new(records.len());
+        let mut uf = UnionFind::new(n);
         for (&(a, b), score) in candidates.iter().zip(&scores) {
             if *score >= threshold {
-                uf.union(a, b);
+                uf.union(a as usize, b as usize);
             }
         }
         uf.into_groups()
@@ -535,35 +497,38 @@ impl Resolver {
         clusters_to_dataset(name, columns, records, clusters, truths)
     }
 
-    /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time,
-    /// building blocks and the union-find incrementally (see
-    /// [`crate::streaming::StreamingResolver`]), and packages the clusters as
-    /// a [`Dataset`] exactly as [`Resolver::resolve_to_dataset`] (with each
-    /// cell's truth set to its observed value) would. The produced dataset is
-    /// bit-identical to collecting the stream and calling the batch entry
-    /// point; only the peak memory differs — the input document is never
-    /// materialized and per-block state is bounded by the blocking
-    /// configuration's `max_block_size`.
+    /// Streaming entry point: consumes a [`RecordStream`] record-at-a-time
+    /// and packages the clusters as a [`Dataset`] exactly as
+    /// [`Resolver::resolve_to_dataset`] (with each cell's truth set to its
+    /// observed value) would — bit-identical to collecting the stream and
+    /// calling the batch entry point. Only the parsed records are held: the
+    /// input document is never materialized, per-block state is bounded by
+    /// the blocking configuration's `max_block_size`, and the records are
+    /// shared with the scoring pool instead of copied.
+    ///
+    /// [`RecordStream`]: ec_data::RecordStream
     pub fn resolve_stream<S: ec_data::RecordStream + ?Sized>(
         &self,
         name: &str,
         stream: &mut S,
     ) -> Result<Dataset, ec_data::DatasetIoError> {
         let columns = stream.columns().to_vec();
-        let mut builder = crate::streaming::StreamingResolver::new(self);
+        let mut records = Vec::new();
         while let Some(record) = stream.next_record() {
             let record = record?;
-            builder.push(RawRecord {
+            records.push(RawRecord {
                 source: record.source,
                 fields: record.fields,
             });
         }
-        Ok(builder.finish(name, columns))
+        let records = Arc::new(records);
+        let clusters = self.cluster(Records::Shared(&records));
+        Ok(clusters_to_dataset(name, columns, &records, clusters, None))
     }
 }
 
 /// Packages resolved clusters of record indices as a [`Dataset`] — shared by
-/// the batch and streaming entry points so both produce identical output. The
+/// every entry point so all produce identical output. The
 /// golden record of a cluster is unknown at resolution time; the per-column
 /// majority of truths serves as the best available label.
 pub(crate) fn clusters_to_dataset(

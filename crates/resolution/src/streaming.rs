@@ -1,32 +1,16 @@
-//! Incremental (record-at-a-time) resolution state.
+//! Cross-batch incremental resolution: the [`DeltaResolver`].
 //!
-//! The batch entry points ([`Resolver::resolve`],
-//! [`Resolver::resolve_to_dataset`]) need the whole record collection in hand
-//! before blocking can even start. [`StreamingResolver`] is the ingestion
-//! half of resolution turned inside out: records are [`StreamingResolver::push`]ed
-//! one at a time — as a CSV reader produces them — and every per-record
-//! structure grows incrementally:
-//!
-//! * **token blocks** are updated with the new record's tokens, with *bounded
-//!   per-block memory*: a block that exceeds the configured `max_block_size`
-//!   is replaced by an `Oversized` tombstone and its id list is dropped (the
-//!   batch path would skip such a block anyway, but only after buffering all
-//!   of its ids);
-//! * **sorted-neighborhood keys** are appended (one small key per record);
-//! * the **union-find** forest grows by one singleton per record.
-//!
-//! [`StreamingResolver::finish`] then scores exactly the candidate pairs the
-//! batch path would have produced and returns a bit-identical
-//! [`ec_data::Dataset`]. (Scoring must wait for the end of the stream: whether
-//! a token block survives the size cap is only known once every record has
-//! arrived, so emitting pairs eagerly could union records the batch path
-//! never compares.)
+//! The one-shot entry points ([`Resolver::resolve`],
+//! [`Resolver::resolve_stream`]) resolve a complete record collection. The
+//! delta ingest path instead pushes records batch by batch and asks for the
+//! clustering of everything so far after each batch; the [`DeltaResolver`]
+//! keeps the records, the blocking index and a pair-score cache alive between
+//! batches so that each snapshot only pays for what is new.
 
-use crate::blocking::blocking_columns;
+use crate::blocking::BlockingIndex;
 use crate::matcher::{
-    clusters_to_dataset, score_pairs_arc, BlockingScheme, RawRecord, Resolver, ResolverConfig,
+    clusters_to_dataset, score_pairs, RawRecord, Records, Resolver, ResolverConfig,
 };
-use crate::tokenize::{normalize_into, words_into, TokenBuf};
 use crate::unionfind::UnionFind;
 use ec_data::Dataset;
 use std::collections::{HashMap, HashSet};
@@ -67,224 +51,15 @@ impl std::hash::BuildHasher for PairHashBuilder {
     }
 }
 
-/// One token block: the ids of the records containing the token, or a
-/// tombstone once the block outgrew the configured cap.
-enum TokenBlock {
-    Ids(Vec<u32>),
-    Oversized,
-}
-
-/// The per-record incremental blocking state shared by the one-shot
-/// [`StreamingResolver`] and the cross-batch [`DeltaResolver`]: the records,
-/// the growing union-find forest, and the token blocks / sorted-neighborhood
-/// keys every pushed record updates.
-struct StreamingState {
-    /// The records live behind an `Arc` so that scoring can shard `'static`
-    /// tasks over them without copying; while a single owner is pushing,
-    /// `Arc::make_mut` mutates in place with no clone.
-    records: Arc<Vec<RawRecord>>,
-    uf: UnionFind,
-    /// Which columns contribute blocking tokens/keys; locked in by the first
-    /// record's column count (as in the batch path).
-    cols: Vec<usize>,
-    token_blocks: HashMap<String, TokenBlock>,
-    sn_keys: Vec<(String, u32)>,
-    /// Reusable tokenization scratch for [`StreamingState::push`].
-    token_buf: TokenBuf,
-    key_scratch: String,
-}
-
-impl StreamingState {
-    fn new() -> Self {
-        StreamingState {
-            records: Arc::new(Vec::new()),
-            uf: UnionFind::new(0),
-            cols: Vec::new(),
-            token_blocks: HashMap::new(),
-            sn_keys: Vec::new(),
-            token_buf: TokenBuf::new(),
-            key_scratch: String::new(),
-        }
-    }
-
-    /// Ingests one record, updating blocks and the union-find incrementally.
-    fn push(&mut self, config: &ResolverConfig, record: RawRecord) {
-        let id = self.uf.push() as u32;
-        if self.records.is_empty() {
-            self.cols = blocking_columns(&config.blocking, record.fields.len());
-        }
-        let scheme = config.scheme;
-        if matches!(scheme, BlockingScheme::Token | BlockingScheme::Both) {
-            let buf = &mut self.token_buf;
-            buf.clear();
-            for &col in &self.cols {
-                words_into(&record.fields[col], buf);
-            }
-            let distinct = buf.sort_dedup_tokens();
-            for t in 0..distinct {
-                let token = buf.token(t);
-                if let Some(block) = self.token_blocks.get_mut(token) {
-                    if let TokenBlock::Ids(ids) = block {
-                        ids.push(id);
-                        if ids.len() > config.blocking.max_block_size {
-                            // Bounded per-block memory: drop the id list.
-                            *block = TokenBlock::Oversized;
-                        }
-                    }
-                } else {
-                    // A brand-new block only outlives its first record when
-                    // the cap allows a block of one.
-                    let block = if config.blocking.max_block_size < 1 {
-                        TokenBlock::Oversized
-                    } else {
-                        TokenBlock::Ids(vec![id])
-                    };
-                    self.token_blocks.insert(token.to_string(), block);
-                }
-            }
-        }
-        if matches!(
-            scheme,
-            BlockingScheme::SortedNeighborhood | BlockingScheme::Both
-        ) {
-            let mut key = String::new();
-            for (i, &c) in self.cols.iter().enumerate() {
-                if i > 0 {
-                    key.push('\u{1}');
-                }
-                normalize_into(&record.fields[c], &mut self.key_scratch);
-                key.push_str(&self.key_scratch);
-            }
-            self.sn_keys.push((key, id));
-        }
-        Arc::make_mut(&mut self.records).push(record);
-    }
-
-    /// The candidate pairs of the ingested records — exactly the set the
-    /// batch blocking functions would produce, deduplicated, ordered, and
-    /// with `a < b`. Sorts `sn_keys` in place (sound: sorting is idempotent
-    /// and later pushes append keys that the next call re-sorts) so no
-    /// O(records) copy is made at the peak-memory moment.
-    fn candidate_pairs(&mut self, config: &ResolverConfig) -> Vec<(u32, u32)> {
-        if self.records.len() < 2 {
-            return Vec::new();
-        }
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        if matches!(config.scheme, BlockingScheme::Token | BlockingScheme::Both) {
-            for block in self.token_blocks.values() {
-                let TokenBlock::Ids(ids) = block else {
-                    continue;
-                };
-                if ids.len() < 2 {
-                    continue;
-                }
-                // Ids within a block are appended in push order, so they are
-                // already ascending — `(a, b)` is canonical without min/max.
-                for (i, &a) in ids.iter().enumerate() {
-                    for &b in ids.iter().skip(i + 1) {
-                        pairs.push((a, b));
-                    }
-                }
-            }
-        }
-        if matches!(
-            config.scheme,
-            BlockingScheme::SortedNeighborhood | BlockingScheme::Both
-        ) && config.blocking.window >= 2
-        {
-            self.sn_keys.sort();
-            for (i, (_, a)) in self.sn_keys.iter().enumerate() {
-                for (_, b) in self
-                    .sn_keys
-                    .iter()
-                    .skip(i + 1)
-                    .take(config.blocking.window - 1)
-                {
-                    pairs.push(((*a).min(*b), (*a).max(*b)));
-                }
-            }
-        }
-        // Sort-and-dedup beats a hash set here: the pair list is regenerated
-        // on every snapshot, and most blocks emit runs of nearly-sorted pairs.
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-}
-
-/// Incremental resolution state; see the module docs.
-pub struct StreamingResolver<'a> {
-    resolver: &'a Resolver,
-    state: StreamingState,
-}
-
-impl<'a> StreamingResolver<'a> {
-    /// Creates empty state for `resolver`'s configuration.
-    pub fn new(resolver: &'a Resolver) -> Self {
-        StreamingResolver {
-            resolver,
-            state: StreamingState::new(),
-        }
-    }
-
-    /// Number of records ingested so far.
-    pub fn len(&self) -> usize {
-        self.state.records.len()
-    }
-
-    /// True when no record has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.state.records.is_empty()
-    }
-
-    /// Ingests one record, updating blocks and the union-find incrementally.
-    pub fn push(&mut self, record: RawRecord) {
-        self.state.push(self.resolver.config(), record);
-    }
-
-    /// Scores the candidate pairs, closes the clustering transitively, and
-    /// packages the result as a [`Dataset`] (each cell's truth is its
-    /// observed value, as in [`Resolver::resolve_to_dataset`] without
-    /// truths). Bit-identical to the batch path on the same records.
-    ///
-    /// Scores are unobservable here — only the clustering escapes — so pair
-    /// scoring early-abandons sub-threshold pairs and shards across the
-    /// worker pool, both of which leave the decisions (and so the dataset)
-    /// unchanged.
-    pub fn finish(mut self, name: &str, columns: Vec<String>) -> Dataset {
-        let pairs = {
-            let _span = ec_obs::span!("resolution.blocking");
-            self.state.candidate_pairs(self.resolver.config())
-        };
-        let _span = ec_obs::span!("resolution.scoring", pairs.len());
-        let threshold = self.resolver.config().threshold;
-        let scores = score_pairs_arc(
-            self.resolver.config(),
-            self.resolver.parallelism(),
-            &self.state.records,
-            &pairs,
-            Some(threshold),
-        );
-        let mut uf = self.state.uf;
-        for (&(a, b), score) in pairs.iter().zip(&scores) {
-            if *score >= threshold {
-                uf.union(a as usize, b as usize);
-            }
-        }
-        let clusters = uf.into_groups();
-        clusters_to_dataset(name, columns, &self.state.records, clusters, None)
-    }
-}
-
 /// Cross-batch incremental resolution: the delta ingest path's resolver.
 ///
-/// A [`DeltaResolver`] owns its [`Resolver`] and keeps the streaming state
-/// alive *between* batches, so each batch only pays for pushing its own
-/// records. [`DeltaResolver::snapshot`] then produces the clustering of
-/// everything pushed so far, **bit-identical** to
+/// A [`DeltaResolver`] owns its [`Resolver`] and keeps the records and the
+/// blocking index alive *between* batches, so each batch only pays for
+/// indexing its own records. [`DeltaResolver::snapshot`] then produces the
+/// clustering of everything pushed so far, **bit-identical** to
 /// [`Resolver::resolve_stream`] over the concatenated input:
 ///
-/// * the candidate-pair set is regenerated from the live block state on every
+/// * the candidate-pair set is regenerated from the live index on every
 ///   snapshot — it is *non-monotone* (a token block can outgrow the cap and
 ///   tombstone pairs away; a sorted-neighborhood window shifts as records
 ///   insert between old neighbors), so pairs unioned in an earlier snapshot
@@ -299,7 +74,13 @@ impl<'a> StreamingResolver<'a> {
 ///   string-similarity work at all.
 pub struct DeltaResolver {
     resolver: Resolver,
-    state: StreamingState,
+    /// The records live behind an `Arc` so that scoring can shard `'static`
+    /// tasks over them without copying; while a single owner is pushing,
+    /// `Arc::make_mut` mutates in place with no clone.
+    records: Arc<Vec<RawRecord>>,
+    /// Indexes the records lazily: each snapshot catches up on the records
+    /// pushed since the previous one.
+    index: BlockingIndex,
     /// Distinct field vectors, interned: the content key of a record.
     value_ids: HashMap<Vec<String>, u32>,
     /// The value id of each pushed record.
@@ -320,7 +101,8 @@ impl DeltaResolver {
     pub fn new(config: ResolverConfig) -> Self {
         DeltaResolver {
             resolver: Resolver::new(config),
-            state: StreamingState::new(),
+            records: Arc::new(Vec::new()),
+            index: BlockingIndex::default(),
             value_ids: HashMap::new(),
             record_values: Vec::new(),
             pair_cache: HashMap::default(),
@@ -343,12 +125,12 @@ impl DeltaResolver {
 
     /// Number of records ingested so far (across all batches).
     pub fn len(&self) -> usize {
-        self.state.records.len()
+        self.records.len()
     }
 
     /// True when no record has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.state.records.is_empty()
+        self.records.is_empty()
     }
 
     /// Pair scores computed so far (cache misses); the complement of the
@@ -362,7 +144,7 @@ impl DeltaResolver {
         let next = self.value_ids.len() as u32;
         let vid = *self.value_ids.entry(record.fields.clone()).or_insert(next);
         self.record_values.push(vid);
-        self.state.push(self.resolver.config(), record);
+        Arc::make_mut(&mut self.records).push(record);
     }
 
     /// The clustering of everything pushed so far, packaged as a [`Dataset`]
@@ -376,12 +158,10 @@ impl DeltaResolver {
     /// cache contents, `scored_pairs`, and the clustering all end up
     /// identical to the old one-pass loop.
     pub fn snapshot(&mut self, name: &str, columns: Vec<String>) -> Dataset {
-        let pairs = {
-            let _span = ec_obs::span!("resolution.blocking");
-            self.state.candidate_pairs(self.resolver.config())
-        };
-        let _span = ec_obs::span!("resolution.scoring", pairs.len());
-        let threshold = self.resolver.config().threshold;
+        let config = self.resolver.config();
+        let unindexed = &self.records[self.index.len()..];
+        let pairs = self.index.candidate_pairs(config, unindexed);
+        let threshold = config.threshold;
         let record_values = &self.record_values;
         // Phase 1: the distinct missing value-pair keys, first occurrence
         // wins (exactly the pair `or_insert_with` would have scored).
@@ -397,10 +177,10 @@ impl DeltaResolver {
             }
         }
         // Phase 2: exact scores for the misses, sharded over the pool.
-        let scores = score_pairs_arc(
-            self.resolver.config(),
+        let scores = score_pairs(
+            config,
             self.resolver.parallelism(),
-            &self.state.records,
+            Records::Shared(&self.records),
             &miss_pairs,
             None,
         );
@@ -409,7 +189,7 @@ impl DeltaResolver {
         for (key, score) in miss_keys.into_iter().zip(scores) {
             self.pair_cache.insert(key, score);
         }
-        let mut uf = UnionFind::new(self.state.records.len());
+        let mut uf = UnionFind::new(self.records.len());
         for &(a, b) in &pairs {
             let (va, vb) = (record_values[a as usize], record_values[b as usize]);
             let key = (va.min(vb), va.max(vb));
@@ -418,15 +198,15 @@ impl DeltaResolver {
             }
         }
         let clusters = uf.into_groups();
-        clusters_to_dataset(name, columns, &self.state.records, clusters, None)
+        clusters_to_dataset(name, columns, &self.records, clusters, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::BlockingConfig;
-    use crate::matcher::ResolverConfig;
+    use crate::blocking::{sorted_neighborhood_pairs, token_blocking_pairs, BlockingConfig};
+    use crate::matcher::BlockingScheme;
     use ec_data::{FlatRecord, RecordStream, VecRecordStream};
 
     fn sample_records() -> Vec<RawRecord> {
@@ -454,29 +234,110 @@ mod tests {
         )
     }
 
+    const SCHEMES: [BlockingScheme; 3] = [
+        BlockingScheme::Token,
+        BlockingScheme::SortedNeighborhood,
+        BlockingScheme::Both,
+    ];
+
+    /// A small deterministic generator (xorshift64*), so the random cases
+    /// are reproducible from their seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    /// Up to 24 two-column records over a small vocabulary, so tokens are
+    /// shared often enough to overflow small block caps and to tie
+    /// sorted-neighborhood keys.
+    fn random_records(rng: &mut Rng) -> Vec<RawRecord> {
+        const WORDS: [&str; 10] = [
+            "mary", "lee", "Lee,", "smith", "st", "ave", "9", "02141", "WI", "ca",
+        ];
+        (0..rng.below(25))
+            .map(|_| {
+                let field = |rng: &mut Rng| {
+                    (0..1 + rng.below(3))
+                        .map(|_| WORDS[rng.below(WORDS.len())])
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                };
+                RawRecord::new(rng.below(3), [field(rng), field(rng)])
+            })
+            .collect()
+    }
+
+    /// The batch oracle's candidate pairs for `scheme`.
+    fn oracle_pairs(
+        records: &[RawRecord],
+        scheme: BlockingScheme,
+        blocking: &BlockingConfig,
+    ) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        if scheme != BlockingScheme::SortedNeighborhood {
+            pairs.extend(token_blocking_pairs(records, blocking));
+        }
+        if scheme != BlockingScheme::Token {
+            pairs.extend(sorted_neighborhood_pairs(records, blocking));
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+            .into_iter()
+            .map(|(a, b)| (a as u32, b as u32))
+            .collect()
+    }
+
     #[test]
     fn streaming_matches_batch_for_every_scheme() {
-        let records = sample_records();
-        for scheme in [
-            BlockingScheme::Token,
-            BlockingScheme::SortedNeighborhood,
-            BlockingScheme::Both,
-        ] {
-            let resolver = Resolver::new(ResolverConfig {
-                scheme,
-                threshold: 0.5,
-                ..ResolverConfig::default()
-            });
-            let batch = resolver.resolve_to_dataset(
-                "r",
-                vec!["Name".to_string(), "Address".to_string()],
-                &records,
-                None,
-            );
-            let streamed = resolver
-                .resolve_stream("r", &mut stream_of(&records))
-                .unwrap();
-            assert_eq!(batch, streamed, "{scheme:?}");
+        // The sample records and random ones, under every blocking config:
+        // the index, fed in random chunks the way a delta resolver catches
+        // up, must produce the batch oracle's pairs over every prefix, and
+        // the streaming and batch entry points must agree.
+        let mut rng = Rng(0x5eed);
+        let mut inputs = vec![sample_records()];
+        inputs.extend((0..12).map(|_| random_records(&mut rng)));
+        let columns = vec!["Name".to_string(), "Address".to_string()];
+        for (case, records) in inputs.iter().enumerate() {
+            for scheme in SCHEMES {
+                for max_block_size in [0, 1, 2, 3, 200] {
+                    for window in [0, 1, 2, 8] {
+                        let config = ResolverConfig {
+                            scheme,
+                            threshold: 0.5,
+                            blocking: BlockingConfig {
+                                max_block_size,
+                                window,
+                                ..BlockingConfig::default()
+                            },
+                            ..ResolverConfig::default()
+                        };
+                        let label = format!(
+                            "case {case}, {scheme:?}, cap {max_block_size}, window {window}"
+                        );
+                        let mut index = BlockingIndex::default();
+                        while index.len() < records.len() {
+                            let end = index.len() + 1 + rng.below(records.len() - index.len());
+                            let pairs = index.candidate_pairs(&config, &records[index.len()..end]);
+                            let expected = oracle_pairs(&records[..end], scheme, &config.blocking);
+                            assert_eq!(pairs, expected, "{label}, prefix {end}");
+                        }
+                        let resolver = Resolver::new(config);
+                        let batch =
+                            resolver.resolve_to_dataset("r", columns.clone(), records, None);
+                        let streamed = resolver
+                            .resolve_stream("r", &mut stream_of(records))
+                            .unwrap();
+                        assert_eq!(batch, streamed, "{label}");
+                    }
+                }
+            }
         }
     }
 
@@ -512,35 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_blocks_hold_bounded_state() {
-        let resolver = Resolver::new(ResolverConfig {
-            scheme: BlockingScheme::Token,
-            blocking: BlockingConfig {
-                max_block_size: 3,
-                ..BlockingConfig::default()
-            },
-            ..ResolverConfig::default()
-        });
-        let mut builder = StreamingResolver::new(&resolver);
-        for i in 0..100 {
-            builder.push(RawRecord::new(0, [format!("shared unique{i}")]));
-        }
-        let oversized = builder
-            .state
-            .token_blocks
-            .values()
-            .filter(|b| matches!(b, TokenBlock::Oversized))
-            .count();
-        assert_eq!(oversized, 1, "the 'shared' block was tombstoned");
-        for block in builder.state.token_blocks.values() {
-            if let TokenBlock::Ids(ids) = block {
-                assert!(ids.len() <= 3);
-            }
-        }
-        assert_eq!(builder.len(), 100);
-    }
-
-    #[test]
     fn empty_and_singleton_streams() {
         let resolver = Resolver::default();
         let mut empty = VecRecordStream::new(vec!["x".to_string()], Vec::new());
@@ -562,29 +394,50 @@ mod tests {
 
     #[test]
     fn delta_snapshots_match_one_shot_resolution_at_every_batch_boundary() {
-        let records = sample_records();
+        // The sample records at fixed splits, then random records at random
+        // splits: every snapshot equals `Resolver::resolve` over the prefix.
         let columns = vec!["Name".to_string(), "Address".to_string()];
-        for scheme in [
-            BlockingScheme::Token,
-            BlockingScheme::SortedNeighborhood,
-            BlockingScheme::Both,
-        ] {
-            let config = ResolverConfig {
-                scheme,
-                threshold: 0.5,
-                ..ResolverConfig::default()
-            };
-            let resolver = Resolver::new(config.clone());
-            let mut delta = DeltaResolver::new(config);
-            for split in [2usize, 5, records.len()] {
-                while delta.len() < split {
-                    delta.push(records[delta.len()].clone());
+        let mut rng = Rng(0xde17a);
+        let mut inputs = vec![(sample_records(), vec![2usize, 5])];
+        for _ in 0..8 {
+            let records = random_records(&mut rng);
+            let mut splits: Vec<usize> = (0..3).map(|_| rng.below(records.len() + 1)).collect();
+            splits.sort_unstable();
+            inputs.push((records, splits));
+        }
+        let blockings = [
+            BlockingConfig::default(),
+            BlockingConfig {
+                max_block_size: 3,
+                window: 2,
+                ..BlockingConfig::default()
+            },
+        ];
+        for (records, splits) in &inputs {
+            for scheme in SCHEMES {
+                for blocking in &blockings {
+                    let config = ResolverConfig {
+                        scheme,
+                        threshold: 0.5,
+                        blocking: blocking.clone(),
+                        ..ResolverConfig::default()
+                    };
+                    let resolver = Resolver::new(config.clone());
+                    let mut delta = DeltaResolver::new(config);
+                    for &split in splits.iter().chain([records.len()].iter()) {
+                        while delta.len() < split {
+                            delta.push(records[delta.len()].clone());
+                        }
+                        let snapshot = delta.snapshot("r", columns.clone());
+                        let one_shot = resolver.resolve_to_dataset(
+                            "r",
+                            columns.clone(),
+                            &records[..split],
+                            None,
+                        );
+                        assert_eq!(snapshot, one_shot, "{scheme:?} {blocking:?} split={split}");
+                    }
                 }
-                let snapshot = delta.snapshot("r", columns.clone());
-                let one_shot = resolver
-                    .resolve_stream("r", &mut stream_of(&records[..split]))
-                    .unwrap();
-                assert_eq!(snapshot, one_shot, "{scheme:?} split={split}");
             }
         }
     }

@@ -81,9 +81,9 @@ pub use router::{Router, RouterConfig, RouterHandle};
 
 use conn::{BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
 use ec_core::{
-    resolve_column_spec, standardize_columns, standardize_columns_compiled,
-    write_golden_records_csv, ApplyReport, AutoMode, ColumnReport, CompiledDataset,
-    ConsolidationConfig, DeltaPipeline, FusedPipeline, Pipeline, ProgramLibrary, TruthMethod,
+    resolve_column_spec, standardize_columns, write_golden_records_csv, ApplyReport, AutoMode,
+    ColumnReport, CompiledDataset, ConsolidationConfig, DeltaPipeline, FusedPipeline, Pipeline,
+    ProgramLibrary, TruthMethod,
 };
 use ec_data::stream::DatasetSink;
 use ec_data::Dataset;
@@ -635,12 +635,18 @@ fn handle_pipeline(
         .unwrap_or("resolved")
         .to_string();
 
+    let config = ConsolidationConfig {
+        budget,
+        ..ConsolidationConfig::default()
+    }
+    .with_threads(state.threads);
     // An empty body against a preloaded artifact: replay the compiled
     // consolidation instead of parsing and re-preparing anything. The
     // clusters were formed at compile time, so an explicit threshold must
     // match the artifact's — it cannot be re-resolved here.
-    if body_empty {
-        if let Some(compiled) = state.preloaded.as_ref() {
+    let preloaded = state.preloaded.as_ref().filter(|_| body_empty);
+    let (mut dataset, has_truth, threshold) = match preloaded {
+        Some(compiled) => {
             if request.query_param("threshold").is_some() && threshold != compiled.threshold {
                 return Err(fail(format!(
                     "the preloaded artifact was compiled at threshold {}, not {threshold}; \
@@ -648,79 +654,48 @@ fn handle_pipeline(
                     compiled.threshold
                 )));
             }
-            let mut dataset = compiled.dataset.clone();
-            let columns = resolve_pipeline_columns(request, &dataset)?;
-            let pipeline = Pipeline::new(
-                ConsolidationConfig {
-                    budget,
-                    ..ConsolidationConfig::default()
-                }
-                .with_threads(state.threads),
-            );
-            let mut learned = ProgramLibrary::new();
-            let reports = standardize_columns_compiled(
-                &pipeline,
-                compiled,
-                &mut dataset,
-                &columns,
-                mode,
-                Some(&mut learned),
-            );
-            let golden = pipeline.discover_golden_records(&dataset, truth_method);
-            if !learned.is_empty() {
-                state.library.write().unwrap().merge(&learned);
-            }
-            return stream_pipeline_output(
-                writer,
-                persistence,
-                &dataset,
-                &golden,
-                &reports,
+            (
+                compiled.dataset.clone(),
+                compiled.has_truth,
                 compiled.threshold,
-                output,
-            );
+            )
         }
-    }
-
-    // Resolve the body stream straight off the socket — the raw CSV is never
-    // buffered; only the resolved dataset (the working set every entry point
-    // needs) lives in memory.
-    let mut stream =
-        FlatCsvReader::new(body).map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
-    let fused = FusedPipeline::new(
-        ResolverConfig {
-            threshold,
-            ..ResolverConfig::default()
-        },
-        ConsolidationConfig {
-            budget,
-            ..ConsolidationConfig::default()
+        None => {
+            // Resolve the body stream straight off the socket — the raw CSV
+            // is never buffered; only the resolved dataset (the working set
+            // every entry point needs) lives in memory.
+            let mut stream =
+                FlatCsvReader::new(body).map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+            let resolver = ResolverConfig {
+                threshold,
+                ..ResolverConfig::default()
+            };
+            let dataset = FusedPipeline::new(resolver, config.clone())
+                .resolve_stream(&name, &mut stream)
+                .map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+            // Resolver output always carries per-cell truth, exactly like the
+            // clustered CSV `ec resolve` writes — so `auto` uses the
+            // simulated expert, matching the CLI pipeline.
+            (dataset, true, threshold)
         }
-        .with_threads(state.threads),
-    );
-    let mut dataset = fused
-        .resolve_stream(&name, &mut stream)
-        .map_err(|e| fail(format!("bad flat CSV body: {e}")))?;
+    };
     let columns = resolve_pipeline_columns(request, &dataset)?;
 
     // Standardize with the shared automated driver (byte-identical to the
     // CLI), learning into a request-local library merged into the server's
     // store afterwards.
+    let pipeline = Pipeline::new(config);
     let mut learned = ProgramLibrary::new();
     let reports = standardize_columns(
-        fused.pipeline(),
+        &pipeline,
         &mut dataset,
         &columns,
         mode,
-        // Resolver output always carries per-cell truth, exactly like the
-        // clustered CSV `ec resolve` writes — so `auto` uses the simulated
-        // expert, matching the CLI pipeline.
-        true,
+        has_truth,
+        preloaded.map(|compiled| compiled.columns.as_slice()),
         Some(&mut learned),
     );
-    let golden = fused
-        .pipeline()
-        .discover_golden_records(&dataset, truth_method);
+    let golden = pipeline.discover_golden_records(&dataset, truth_method);
     if !learned.is_empty() {
         state.library.write().unwrap().merge(&learned);
     }

@@ -186,7 +186,7 @@ fn single_mega_group_grouping_is_identical_at_any_parallelism() {
 #[test]
 fn single_mega_group_grouping_is_identical_when_the_step_budget_binds() {
     // A starved step budget forces every frontier task to its private
-    // slice's truncation point; intra-search sharding (on by default) must
+    // slice's truncation point; the frontier engine's wave scheduling must
     // keep those points — and with them the groups — thread-count
     // independent.
     let replacements = mega_group_candidates();
@@ -196,7 +196,6 @@ fn single_mega_group_grouping_is_identical_when_the_step_budget_binds() {
             parallelism: Parallelism::fixed(threads),
             ..GroupingConfig::default()
         };
-        assert!(config.intra_search_sharding);
         StructuredGrouper::new(&replacements, config).all_groups()
     };
     let base = drain(1);

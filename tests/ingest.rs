@@ -79,6 +79,7 @@ fn one_shot(
         &cols,
         mode,
         true,
+        None,
         Some(&mut library),
     );
     let golden = pipeline.discover_golden_records(&dataset, TruthMethod::MajorityConsensus);
