@@ -24,8 +24,13 @@ pub struct GroupingConfig {
     /// search is too expensive one can cap the path length or sample; this cap
     /// plays the same role for pathological graphs (very long outputs whose
     /// pieces rarely occur in the input): when it is hit, the best complete
-    /// path found so far is used. Typical searches finish in a few hundred
-    /// extensions, orders of magnitude below the default.
+    /// path found so far is used.
+    ///
+    /// The budget binds often in practice, not only on pathological graphs:
+    /// in the repository's `review` benchmark (seed 1, 20 s) 1,560 of 21,203
+    /// searches (7.4%) exhaust the default, and those searches — mostly over
+    /// small Address partitions of a few dozen graphs — spend 78.0M of the
+    /// 95.9M steps (81%). Most other searches finish far below it.
     ///
     /// **Determinism:** results are bit-identical for every
     /// [`GroupingConfig::parallelism`] even when this budget truncates a

@@ -28,7 +28,9 @@ use std::sync::Arc;
 /// The incremental (top-k) grouper.
 #[derive(Debug)]
 pub struct IncrementalGrouper {
-    prepared: Arc<PreparedGraphs>,
+    /// The pivot searcher over the prepared graphs, built once: its inputs
+    /// (graphs, index, config) never change over the grouper's life.
+    searcher: PivotSearcher,
     config: GroupingConfig,
     /// Persistent per-graph upper bounds on pivot-path sharing.
     upper_bounds: Vec<u32>,
@@ -61,7 +63,7 @@ impl IncrementalGrouper {
             .collect();
         let skipped = prepared.skipped().to_vec();
         IncrementalGrouper {
-            prepared,
+            searcher: PivotSearcher::new(prepared, &config),
             config,
             upper_bounds,
             active: vec![true; n],
@@ -72,7 +74,7 @@ impl IncrementalGrouper {
 
     /// Access to the preprocessed graphs.
     pub fn prepared(&self) -> &PreparedGraphs {
-        &self.prepared
+        self.searcher.prepared()
     }
 
     /// Number of graphs not yet emitted in a group.
@@ -112,14 +114,12 @@ impl IncrementalGrouper {
         if self.remaining == 0 {
             return self.skipped.pop().map(Group::singleton);
         }
-        let searcher = PivotSearcher::new(Arc::clone(&self.prepared), &self.config);
+        let prepared = self.searcher.prepared();
         // Visit active graphs in decreasing upper-bound order.
-        let mut order: Vec<usize> = (0..self.prepared.len())
-            .filter(|&g| self.active[g])
-            .collect();
+        let mut order: Vec<usize> = (0..prepared.len()).filter(|&g| self.active[g]).collect();
         order.sort_by_key(|&g| std::cmp::Reverse(self.upper_bounds[g]));
 
-        let mut lower_bounds = vec![1u32; self.prepared.len()];
+        let mut lower_bounds = vec![1u32; prepared.len()];
         let mut best: Option<PivotResult> = None;
         /// Upper limit of the speculative batch ramp.
         const MAX_SEARCH_BATCH: usize = 64;
@@ -137,7 +137,7 @@ impl IncrementalGrouper {
             // occur in one graph only) by orders of magnitude.
             let batch_threshold = best.as_ref().map(|b| b.share_count).unwrap_or(0).max(1);
             let gids: Vec<GraphId> = batch.iter().map(|&g| GraphId(g as u32)).collect();
-            let results = searcher.search_many(
+            let results = self.searcher.search_many(
                 &gids,
                 batch_threshold,
                 &self.active,
@@ -179,7 +179,7 @@ impl IncrementalGrouper {
             self.active[g] = false;
             self.remaining -= 1;
             return Some(Group::singleton(
-                self.prepared.replacement(GraphId(g as u32)).clone(),
+                prepared.replacement(GraphId(g as u32)).clone(),
             ));
         };
         let members: Vec<Replacement> = best
@@ -188,10 +188,10 @@ impl IncrementalGrouper {
             .map(|&g| {
                 self.active[g.index()] = false;
                 self.remaining -= 1;
-                self.prepared.replacement(g).clone()
+                prepared.replacement(g).clone()
             })
             .collect();
-        let program = self.prepared.resolve_program(&best.path);
+        let program = prepared.resolve_program(&best.path);
         Some(Group::new(Some(program), members))
     }
 

@@ -32,9 +32,9 @@
 //!
 //! * the root's viable extensions are computed once and each becomes a
 //!   [`SearchTask`] — an independent subproblem carrying its path prefix,
-//!   the prefix's [`PathList`] (a cheap arena view, never a copied
-//!   occurrence vector), a *snapshot* of the acceptance bar and of the
-//!   searched graph's own lower bound, and a private step-budget slice;
+//!   the prefix's occurrence list as an owned [`PathList`], a *snapshot* of
+//!   the acceptance bar and of the searched graph's own lower bound, and a
+//!   private step-budget slice;
 //! * tasks are pulled off the frontier queue in deterministic **waves**
 //!   (sizes 1, 2, 4, 8, 8, …): every task of a wave reads only state
 //!   snapshotted at the wave boundary, and wave outcomes are reduced in
@@ -50,12 +50,28 @@
 //! the search. The first wave holds a single task (the most promising root
 //! extension, which usually establishes the final bar), so later, wider
 //! waves prune almost as well as the fully sequential DFS.
+//!
+//! ## The allocation-free kernel
+//!
+//! Below the root, each task runs a sequential DFS on its own [`Arena`]: a
+//! `Vec` of occurrences used as a stack, plus a candidate stack beside it.
+//! A node intersects its list with each label's postings into a reused
+//! scratch buffer ([`InvertedIndex::extend_into`]), appends every viable
+//! candidate's list to the arena's tail as a `Range`, and truncates the
+//! arena back to its base on return. Once the buffers have grown, a step
+//! allocates nothing; a list becomes a [`PathList`] only when it is accepted
+//! as a new best. Most steps are spent in budget-exhausted searches over
+//! small partitions whose lists hold a few dozen occurrences, where an
+//! allocation per step would cost more than the intersection itself. The
+//! former `PathList`-per-step DFS is kept under `#[cfg(test)]` as the
+//! kernel's oracle: same steps, same results, at every budget.
 
 use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
 use ec_dsl::StringFn;
 use ec_graph::{LabelId, Parallelism, PoolTask};
-use ec_index::{GraphId, InvertedIndex, PathList};
+use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Upper limit of the frontier's wave-size ramp (1, 2, 4, 8, 8, …). Waves are
@@ -112,7 +128,7 @@ pub struct PivotResult {
 /// of many graphs — including concurrently via [`PivotSearcher::search_many`].
 /// All state is held behind [`Arc`]s, so cloning a searcher is cheap and a
 /// clone can be moved into a `'static` task on the shared worker pool.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PivotSearcher {
     prepared: Arc<PreparedGraphs>,
     config: Arc<GroupingConfig>,
@@ -180,6 +196,42 @@ impl SearchState<'_> {
         let (path, list) = make();
         self.bar = Some((count, quality));
         self.best = Some((path, list, count, quality));
+    }
+
+    /// Whether an extension with share count `count` and partial quality
+    /// `(const_chars, len)` can still lead somewhere. Under early termination
+    /// it must clear the local threshold, not fall below the searched graph's
+    /// own global lower bound (Algorithm 4, line 5), and still be able to beat
+    /// the bar — a strictly larger share count, or an equal count with
+    /// strictly better quality (the partial quality only degrades as the path
+    /// grows, so it lower bounds any completion).
+    fn still_viable(&self, count: usize, const_chars: usize, len: usize) -> bool {
+        if !self.early_termination {
+            return true;
+        }
+        if count <= self.threshold || (count as u32) < self.own_bound {
+            return false;
+        }
+        let partial = Quality {
+            constant_chars: const_chars,
+            len,
+        };
+        beats(count, partial, &self.bar)
+    }
+
+    /// Global threshold update (Algorithm 4): every active graph for which a
+    /// complete path of `g` with list `occs` is complete has a pivot path
+    /// shared by at least `count` graphs.
+    fn raise_bounds(&mut self, g: GraphId, occs: &[PathOccurrence], count: usize) {
+        for occ in occs {
+            let gi = occ.graph.index();
+            if self.active[gi] && occ.end == self.last_nodes[gi] {
+                self.raised.push(gi, count as u32);
+                if gi == g.index() && self.own_bound < count as u32 {
+                    self.own_bound = count as u32;
+                }
+            }
+        }
     }
 }
 
@@ -275,7 +327,14 @@ impl BoundRaises {
 enum Explore {
     /// The frontier engine; the parallelism only schedules its waves.
     Frontier(Parallelism),
-    /// The whole search as one recursive DFS: the frontier engine's oracle.
+    /// The whole search as one recursive arena DFS — the production kernel
+    /// without the frontier split, compared step for step against
+    /// [`Explore::PlainDfs`].
+    #[cfg(test)]
+    ArenaDfs,
+    /// The whole search as one recursive DFS over [`PathList`]s, one
+    /// allocated list per step: the kernel's and the frontier engine's
+    /// oracle.
     #[cfg(test)]
     PlainDfs,
 }
@@ -291,8 +350,9 @@ struct SearchTask {
     label: LabelId,
     /// The node the one-label prefix has reached in the searched graph.
     node: u32,
-    /// The prefix's occurrence list. A cheap arena view ([`PathList`] clones
-    /// are reference-count bumps), not a copied occurrence vector.
+    /// The prefix's occurrence list. An owned [`PathList`] keeps the task
+    /// `'static` (it may run on any pool worker); the task copies it into
+    /// its own [`Arena`] once and runs every step below it there.
     list: PathList,
     /// Constant output characters emitted by the prefix.
     const_chars: usize,
@@ -317,6 +377,48 @@ struct TaskOutcome {
     steps_used: usize,
 }
 
+/// One viable extension of a DFS node. Its occurrence list lives in the
+/// [`Arena`] at `start..end`.
+#[derive(Clone, Copy)]
+struct Candidate {
+    label: LabelId,
+    /// The node the extension reaches in the searched graph.
+    to: u32,
+    start: usize,
+    end: usize,
+    /// Active share count of the extended list.
+    count: usize,
+    /// Constant output characters of the extended path.
+    const_chars: usize,
+}
+
+/// The per-task working memory of the DFS, used as two stacks. Each DFS node
+/// appends its viable candidates (and their occurrence lists) at the tails
+/// and truncates both back to their bases on return, so a parent's
+/// candidates stay valid while its children run. Once the buffers have grown
+/// to the deepest path's needs, a step allocates nothing: a list only becomes
+/// a [`PathList`] when [`SearchState::offer`] accepts a new best.
+#[derive(Default)]
+struct Arena {
+    /// Occurrence lists of the candidates on the current DFS path.
+    occs: Vec<PathOccurrence>,
+    /// Target of the current intersection; copied to the tail of `occs` only
+    /// when the extension survives pruning.
+    scratch: Vec<PathOccurrence>,
+    /// Candidates of the nodes on the current DFS path.
+    candidates: Vec<Candidate>,
+}
+
+impl Arena {
+    /// An arena holding `list` as its only occurrence list, at `0..len`.
+    fn with_list(list: Vec<PathOccurrence>) -> Self {
+        Arena {
+            occs: list,
+            ..Arena::default()
+        }
+    }
+}
+
 impl PivotSearcher {
     /// Creates a searcher over `prepared` using `config`'s path-length cap and
     /// early-termination setting.
@@ -336,6 +438,11 @@ impl PivotSearcher {
             last_nodes: Arc::new(last_nodes),
             constant_chars: Arc::new(constant_chars),
         }
+    }
+
+    /// The graphs this searcher searches.
+    pub(crate) fn prepared(&self) -> &PreparedGraphs {
+        &self.prepared
     }
 
     /// Searches the pivot path of graph `g`.
@@ -366,7 +473,7 @@ impl PivotSearcher {
         let mut raised = BoundRaises::default();
         let active: Arc<[bool]> = active.into();
         let explore = Explore::Frontier(Parallelism::SEQUENTIAL);
-        let result =
+        let (result, _) =
             self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore);
         raised.merge_into(lower_bounds);
         result
@@ -376,7 +483,8 @@ impl PivotSearcher {
     /// global threshold) and records every bound raise into the write-only
     /// `raised` list, without ever reading other graphs' entries. The
     /// frontier's parallelism decides only where the engine's wave tasks run
-    /// (inline or on the shared pool) — never what they compute.
+    /// (inline or on the shared pool) — never what they compute. Returns the
+    /// result and the steps the search consumed.
     fn search_with_bounds(
         &self,
         g: GraphId,
@@ -385,7 +493,7 @@ impl PivotSearcher {
         own_bound: u32,
         raised: &mut BoundRaises,
         explore: Explore,
-    ) -> Option<PivotResult> {
+    ) -> (Option<PivotResult>, usize) {
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
         // paths that cannot complete within the length cap are never
@@ -406,7 +514,16 @@ impl PivotSearcher {
             best: None,
             threshold,
         };
-        let universe = PathList::universe(self.prepared.len());
+        // The empty path's list: every graph, anchored at its first node.
+        let mut arena = Arena::with_list(
+            (0..self.prepared.len())
+                .map(|i| PathOccurrence {
+                    graph: GraphId(i as u32),
+                    end: 0,
+                })
+                .collect(),
+        );
+        let universe = 0..arena.occs.len();
 
         // Seed the best path with the single-edge paths over the full-output
         // edge (which always includes the `ConstantStr(t)` label): this both
@@ -414,13 +531,15 @@ impl PivotSearcher {
         // can run out and gives the local threshold an immediate baseline.
         if let Some(full_edge) = graph.edge(0, graph.last_node()) {
             for &label in &full_edge.labels {
-                let list = state.index.extend(&universe, label);
-                let count = active_count(&list, state.active);
+                state
+                    .index
+                    .extend_into(&arena.occs, label, &mut arena.scratch);
+                let count = active_count(&arena.scratch, state.active);
                 let quality = Quality {
                     constant_chars: state.constant_chars[label.index()],
                     len: 1,
                 };
-                state.offer(count, quality, || (vec![label], list));
+                state.offer(count, quality, || (vec![label], path_list(&arena.scratch)));
             }
         }
 
@@ -429,25 +548,31 @@ impl PivotSearcher {
         if reachable {
             match explore {
                 Explore::Frontier(waves) if graph.last_node() != 0 => {
-                    self.run_frontier(g, &mut state, &universe, active, &dist_to_end, waves);
+                    self.run_frontier(g, &mut state, &mut arena, active, &dist_to_end, waves);
+                }
+                #[cfg(test)]
+                Explore::PlainDfs => {
+                    let universe = PathList::universe(self.prepared.len());
+                    tests::list_dfs(graph, g, 0, &mut Vec::new(), &universe, 0, &mut state);
                 }
                 // A one-node graph has no root extension to split into tasks.
                 _ => {
-                    let mut path = Vec::new();
-                    dfs(graph, g, 0, &mut path, &universe, 0, &mut state);
+                    let (path, list) = (&mut Vec::new(), universe);
+                    dfs(graph, g, 0, path, list, 0, &mut state, &mut arena);
                 }
             }
         }
         let metrics = search_metrics();
         let initial_budget = self.config.max_search_steps.max(1);
-        metrics
-            .steps
-            .observe((initial_budget - state.steps_left) as u64);
+        let steps_used = initial_budget - state.steps_left;
+        metrics.steps.observe(steps_used as u64);
         if state.steps_left == 0 {
             metrics.budget_exhausted.inc();
         }
         let last_nodes = state.last_nodes;
-        let (path, list, count, _) = state.best.take()?;
+        let Some((path, list, count, _)) = state.best.take() else {
+            return (None, steps_used);
+        };
         let complete: Vec<GraphId> = list
             .occurrences()
             .iter()
@@ -456,36 +581,39 @@ impl PivotSearcher {
             .collect();
         let mut complete_dedup = complete;
         complete_dedup.dedup();
-        Some(PivotResult {
+        let result = PivotResult {
             path,
             list,
             complete: complete_dedup,
             share_count: count,
-        })
+        };
+        (Some(result), steps_used)
     }
 
     /// The explicit-frontier engine (see the module docs): computes the
     /// root's viable extensions once, turns each into a [`SearchTask`], and
     /// executes the frontier in deterministic waves whose outcomes reduce in
     /// expansion order. `state` carries the pruning inputs in and the best
-    /// path (plus raises and remaining budget) out.
+    /// path (plus raises and remaining budget) out; `arena` holds the empty
+    /// path's list as its only list.
     fn run_frontier(
         &self,
         g: GraphId,
         state: &mut SearchState<'_>,
-        universe: &PathList,
+        arena: &mut Arena,
         active: &Arc<[bool]>,
         dist_to_end: &Arc<Vec<u32>>,
         waves: Parallelism,
     ) {
         let graph = self.prepared.graph(g);
-        // Root expansion: identical to the DFS's candidate step at node 0,
-        // including step consumption; `None` means the budget died during the
-        // expansion, exactly where the DFS would have stopped.
-        let Some(candidates) = collect_candidates(graph, 0, universe, 0, 0, state) else {
+        // Root expansion: the DFS's candidate step at node 0, including step
+        // consumption; `false` means the budget died during the expansion,
+        // exactly where the DFS would have stopped.
+        let root = 0..arena.occs.len();
+        if !collect_candidates(graph, 0, root, 0, 0, state, arena) {
             return;
-        };
-        let mut frontier = candidates.into_iter();
+        }
+        let mut frontier = arena.candidates.iter();
         let mut exhausted = false;
         let mut wave_cap = 1usize;
         while !exhausted && state.steps_left > 0 {
@@ -494,27 +622,18 @@ impl PivotSearcher {
             // the bar and own bound as of this wave boundary.
             let mut wave: Vec<SearchTask> = Vec::with_capacity(wave_cap);
             while wave.len() < wave_cap {
-                let Some((label, to, list, count, next_chars)) = frontier.next() else {
+                let Some(c) = frontier.next() else {
                     exhausted = true;
                     break;
                 };
-                if state.early_termination {
-                    if count <= state.threshold || (count as u32) < state.own_bound {
-                        continue;
-                    }
-                    let partial = Quality {
-                        constant_chars: next_chars,
-                        len: 1,
-                    };
-                    if !beats(count, partial, &state.bar) {
-                        continue;
-                    }
+                if !state.still_viable(c.count, c.const_chars, 1) {
+                    continue;
                 }
                 wave.push(SearchTask {
-                    label,
-                    node: to,
-                    list,
-                    const_chars: next_chars,
+                    label: c.label,
+                    node: c.to,
+                    list: path_list(&arena.occs[c.start..c.end]),
+                    const_chars: c.const_chars,
                     floor: state.bar,
                     own_bound: state.own_bound,
                     budget: 0, // sliced below, once the wave's size is known
@@ -556,8 +675,9 @@ impl PivotSearcher {
         }
     }
 
-    /// Executes one [`SearchTask`]: a sequential DFS over the task's subtree,
-    /// reading only the task's snapshots. A pure function of its arguments.
+    /// Executes one [`SearchTask`]: a sequential arena DFS over the task's
+    /// subtree, reading only the task's snapshots. A pure function of its
+    /// arguments.
     fn run_task(
         &self,
         g: GraphId,
@@ -584,15 +704,18 @@ impl PivotSearcher {
             best: None,
             threshold,
         };
+        let mut arena = Arena::with_list(task.list.occurrences().to_vec());
+        let list = 0..arena.occs.len();
         let mut path = vec![task.label];
         dfs(
             graph,
             g,
             task.node,
             &mut path,
-            &task.list,
+            list,
             task.const_chars,
             &mut state,
+            &mut arena,
         );
         let steps_used = budget - state.steps_left;
         let own_bound = state.own_bound;
@@ -667,6 +790,7 @@ impl PivotSearcher {
                 .into_iter()
                 .map(|(g, own_bound)| {
                     self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore)
+                        .0
                 })
                 .collect();
             vec![(results, raised)]
@@ -687,14 +811,16 @@ impl PivotSearcher {
                             .iter()
                             .zip(&bounds)
                             .map(|(&g, &own_bound)| {
-                                searcher.search_with_bounds(
-                                    g,
-                                    threshold,
-                                    &active,
-                                    own_bound,
-                                    &mut raised,
-                                    explore,
-                                )
+                                searcher
+                                    .search_with_bounds(
+                                        g,
+                                        threshold,
+                                        &active,
+                                        own_bound,
+                                        &mut raised,
+                                        explore,
+                                    )
+                                    .0
                             })
                             .collect();
                         (results, raised)
@@ -732,11 +858,11 @@ fn distance_to_end(graph: &ec_graph::TransformationGraph) -> Vec<u32> {
     dist
 }
 
-/// Number of distinct *active* graphs in a path list.
-fn active_count(list: &PathList, active: &[bool]) -> usize {
+/// Number of distinct *active* graphs in an occurrence list.
+fn active_count(occs: &[PathOccurrence], active: &[bool]) -> usize {
     let mut count = 0;
     let mut last = None;
-    for occ in list.occurrences() {
+    for occ in occs {
         if active[occ.graph.index()] && last != Some(occ.graph) {
             count += 1;
             last = Some(occ.graph);
@@ -745,32 +871,36 @@ fn active_count(list: &PathList, active: &[bool]) -> usize {
     count
 }
 
-/// One viable extension of the current node: `(label, target node, extended
-/// list, active share count, constant chars including the label)`.
-type Candidate = (LabelId, u32, PathList, usize, usize);
+/// An owned [`PathList`] copy of an arena list.
+fn path_list(occs: &[PathOccurrence]) -> PathList {
+    PathList::from_occurrences(occs.to_vec())
+}
 
 /// The DFS's candidate step, shared by the recursive DFS and the frontier
-/// engine's root expansion: collects the viable extensions of `node`, sorted
-/// into exploration order — decreasing share count (ties: longer edges, then
-/// fewer constant characters). Finding a high-share complete path early makes
-/// the local threshold bite on all remaining branches, which is where
-/// essentially all of the search time goes on real data.
+/// engine's root expansion: appends the viable extensions of `node` (whose
+/// path so far has the arena list `list`) to the arena's candidate stack,
+/// sorted into exploration order — decreasing share count (ties: longer
+/// edges, then fewer constant characters). Finding a high-share complete
+/// path early makes the local threshold bite on all remaining branches, which
+/// is where essentially all of the search time goes on real data.
 ///
-/// Consumes one step per examined label; returns `None` when the budget ran
+/// Consumes one step per examined label; returns `false` when the budget ran
 /// out mid-collection (the caller must stop, keeping its best so far).
+#[allow(clippy::too_many_arguments)]
 fn collect_candidates(
     graph: &ec_graph::TransformationGraph,
     node: u32,
-    list: &PathList,
+    list: Range<usize>,
     path_len: usize,
     const_chars: usize,
     state: &mut SearchState<'_>,
-) -> Option<Vec<Candidate>> {
+    arena: &mut Arena,
+) -> bool {
     // Only one more label fits: the next edge must reach the last node.
     let last_step = path_len + 1 == state.max_path_len;
     // Remaining length budget for the rest of the path.
     let remaining = state.max_path_len - path_len;
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let first = arena.candidates.len();
     for edge in graph.out_edges(node) {
         if last_step && edge.to != graph.last_node() {
             continue;
@@ -788,107 +918,110 @@ fn collect_candidates(
                 continue;
             }
             if state.steps_left == 0 {
-                return None;
+                return false;
             }
             state.steps_left -= 1;
-            let extended = state.index.extend(list, label);
-            if extended.is_empty() {
+            state
+                .index
+                .extend_into(&arena.occs[list.clone()], label, &mut arena.scratch);
+            if arena.scratch.is_empty() {
                 continue;
             }
-            let count = active_count(&extended, state.active);
+            let count = active_count(&arena.scratch, state.active);
             if count == 0 {
                 continue;
             }
             let next_chars = const_chars + state.constant_chars[label.index()];
-            if state.early_termination {
-                // Local threshold: the extension must still be able to beat the
-                // best complete path found so far — a strictly larger share
-                // count, or an equal count with strictly better quality (the
-                // partial quality only degrades as the path grows, so it lower
-                // bounds any completion) — and it must not fall below the
-                // graph's own global lower bound (Algorithm 4, line 5).
-                if count <= state.threshold || (count as u32) < state.own_bound {
-                    continue;
-                }
-                let partial = Quality {
-                    constant_chars: next_chars,
-                    len: path_len + 1,
-                };
-                if !beats(count, partial, &state.bar) {
-                    continue;
-                }
+            // Local threshold and the graph's own global lower bound
+            // (Algorithm 4, line 5).
+            if !state.still_viable(count, next_chars, path_len + 1) {
+                continue;
             }
-            candidates.push((label, edge.to, extended, count, next_chars));
+            let start = arena.occs.len();
+            arena.occs.extend_from_slice(&arena.scratch);
+            arena.candidates.push(Candidate {
+                label,
+                to: edge.to,
+                start,
+                end: arena.occs.len(),
+                count,
+                const_chars: next_chars,
+            });
         }
     }
-    candidates.sort_by(|a, b| {
-        b.3.cmp(&a.3) // larger share count first
-            .then_with(|| b.1.cmp(&a.1)) // longer jumps first (completes sooner)
-            .then_with(|| a.4.cmp(&b.4)) // fewer constant characters first
+    // Lists are appended in collection order, so `start` makes this
+    // in-place unstable sort order ties exactly as a stable sort would.
+    arena.candidates[first..].sort_unstable_by(|a, b| {
+        b.count
+            .cmp(&a.count) // larger share count first
+            .then_with(|| b.to.cmp(&a.to)) // longer jumps first (completes sooner)
+            .then_with(|| a.const_chars.cmp(&b.const_chars)) // fewer constant characters first
+            .then_with(|| a.start.cmp(&b.start))
     });
-    Some(candidates)
+    true
 }
 
+/// The production DFS below `node`, whose path so far has the arena list
+/// `list`. Every step runs in `arena`; nothing is allocated once its buffers
+/// have grown, except the [`PathList`] of an accepted best path.
+#[allow(clippy::too_many_arguments)]
 fn dfs(
     graph: &ec_graph::TransformationGraph,
     g: GraphId,
     node: u32,
     path: &mut Vec<LabelId>,
-    list: &PathList,
+    list: Range<usize>,
     const_chars: usize,
     state: &mut SearchState<'_>,
+    arena: &mut Arena,
 ) {
     if node == graph.last_node() {
         // The maintained path is a transformation path of `graph`.
-        let count = active_count(list, state.active);
+        let occs = &arena.occs[list];
+        let count = active_count(occs, state.active);
         let quality = Quality {
             constant_chars: const_chars,
             len: path.len(),
         };
-        state.offer(count, quality, || (path.clone(), list.clone()));
+        state.offer(count, quality, || (path.clone(), path_list(occs)));
         if state.early_termination {
-            // Global threshold update (Algorithm 4): every graph for which this
-            // path is complete has a pivot path shared by at least `count` graphs.
-            for occ in list.occurrences() {
-                let gi = occ.graph.index();
-                if state.active[gi] && occ.end == state.last_nodes[gi] {
-                    state.raised.push(gi, count as u32);
-                    if gi == g.index() && state.own_bound < count as u32 {
-                        state.own_bound = count as u32;
-                    }
-                }
-            }
+            state.raise_bounds(g, occs, count);
         }
         return;
     }
     if path.len() >= state.max_path_len {
         return;
     }
-    let Some(candidates) = collect_candidates(graph, node, list, path.len(), const_chars, state)
-    else {
-        return;
-    };
-    for (label, to, extended, count, next_chars) in candidates {
-        if state.steps_left == 0 {
-            return;
-        }
-        if state.early_termination {
+    let occs_base = arena.occs.len();
+    let first = arena.candidates.len();
+    if collect_candidates(graph, node, list, path.len(), const_chars, state, arena) {
+        // Children push above `last` and truncate back before returning.
+        let last = arena.candidates.len();
+        for i in first..last {
+            if state.steps_left == 0 {
+                break;
+            }
+            let c = arena.candidates[i];
             // Re-check against the (possibly improved) bar before descending.
-            if count <= state.threshold || (count as u32) < state.own_bound {
+            if !state.still_viable(c.count, c.const_chars, path.len() + 1) {
                 continue;
             }
-            let partial = Quality {
-                constant_chars: next_chars,
-                len: path.len() + 1,
-            };
-            if !beats(count, partial, &state.bar) {
-                continue;
-            }
+            path.push(c.label);
+            dfs(
+                graph,
+                g,
+                c.to,
+                path,
+                c.start..c.end,
+                c.const_chars,
+                state,
+                arena,
+            );
+            path.pop();
         }
-        path.push(label);
-        dfs(graph, g, to, path, &extended, next_chars, state);
-        path.pop();
     }
+    arena.candidates.truncate(first);
+    arena.occs.truncate(occs_base);
 }
 
 #[cfg(test)]
@@ -1149,6 +1282,126 @@ mod tests {
         reps
     }
 
+    /// One viable extension for the [`PathList`] oracle: `(label, target
+    /// node, extended list, active share count, constant chars including the
+    /// label)`.
+    type ListCandidate = (LabelId, u32, PathList, usize, usize);
+
+    /// The oracle's candidate step: [`collect_candidates`] with one allocated
+    /// [`PathList`] per intersection, returned as an owned vector (`None`
+    /// when the budget ran out mid-collection).
+    fn list_candidates(
+        graph: &ec_graph::TransformationGraph,
+        node: u32,
+        list: &PathList,
+        path_len: usize,
+        const_chars: usize,
+        state: &mut SearchState<'_>,
+    ) -> Option<Vec<ListCandidate>> {
+        let last_step = path_len + 1 == state.max_path_len;
+        let remaining = state.max_path_len - path_len;
+        let mut candidates: Vec<ListCandidate> = Vec::new();
+        for edge in graph.out_edges(node) {
+            if last_step && edge.to != graph.last_node() {
+                continue;
+            }
+            let to_end = state.dist_to_end[edge.to as usize];
+            if to_end == u32::MAX || 1 + to_end as usize > remaining {
+                continue;
+            }
+            for &label in &edge.labels {
+                if state.index.list_graph_count(label) <= state.threshold {
+                    continue;
+                }
+                if state.steps_left == 0 {
+                    return None;
+                }
+                state.steps_left -= 1;
+                let extended = state.index.extend(list, label);
+                if extended.is_empty() {
+                    continue;
+                }
+                let count = active_count(extended.occurrences(), state.active);
+                if count == 0 {
+                    continue;
+                }
+                let next_chars = const_chars + state.constant_chars[label.index()];
+                if !state.still_viable(count, next_chars, path_len + 1) {
+                    continue;
+                }
+                candidates.push((label, edge.to, extended, count, next_chars));
+            }
+        }
+        candidates.sort_by(|a, b| {
+            b.3.cmp(&a.3)
+                .then_with(|| b.1.cmp(&a.1))
+                .then_with(|| a.4.cmp(&b.4))
+        });
+        Some(candidates)
+    }
+
+    /// The oracle DFS: [`dfs`] over owned [`PathList`]s, the search kernel
+    /// as it was before the arena. Run through [`Explore::PlainDfs`].
+    pub(super) fn list_dfs(
+        graph: &ec_graph::TransformationGraph,
+        g: GraphId,
+        node: u32,
+        path: &mut Vec<LabelId>,
+        list: &PathList,
+        const_chars: usize,
+        state: &mut SearchState<'_>,
+    ) {
+        if node == graph.last_node() {
+            let count = active_count(list.occurrences(), state.active);
+            let quality = Quality {
+                constant_chars: const_chars,
+                len: path.len(),
+            };
+            state.offer(count, quality, || (path.clone(), list.clone()));
+            if state.early_termination {
+                state.raise_bounds(g, list.occurrences(), count);
+            }
+            return;
+        }
+        if path.len() >= state.max_path_len {
+            return;
+        }
+        let Some(candidates) = list_candidates(graph, node, list, path.len(), const_chars, state)
+        else {
+            return;
+        };
+        for (label, to, extended, count, next_chars) in candidates {
+            if state.steps_left == 0 {
+                return;
+            }
+            if !state.still_viable(count, next_chars, path.len() + 1) {
+                continue;
+            }
+            path.push(label);
+            list_dfs(graph, g, to, path, &extended, next_chars, state);
+            path.pop();
+        }
+    }
+
+    /// [`PivotSearcher::search`] explored by `explore`, also returning the
+    /// steps the search consumed.
+    fn search_explored(
+        searcher: &PivotSearcher,
+        g: GraphId,
+        threshold: usize,
+        active: &[bool],
+        lower_bounds: &mut [u32],
+        explore: Explore,
+    ) -> (Option<PivotResult>, usize) {
+        let mut raised = BoundRaises::default();
+        let own_bound = lower_bounds[g.index()];
+        let active: Arc<[bool]> = active.into();
+        let searched =
+            searcher.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore);
+        raised.merge_into(lower_bounds);
+        searched
+    }
+
     /// [`PivotSearcher::search`] at threshold 0 through the plain recursive
     /// DFS: the frontier engine's oracle.
     fn search_plain_dfs(
@@ -1157,13 +1410,96 @@ mod tests {
         active: &[bool],
         lower_bounds: &mut [u32],
     ) -> Option<PivotResult> {
-        let mut raised = BoundRaises::default();
-        let own_bound = lower_bounds[g.index()];
-        let active: Arc<[bool]> = active.into();
-        let result =
-            searcher.search_with_bounds(g, 0, &active, own_bound, &mut raised, Explore::PlainDfs);
-        raised.merge_into(lower_bounds);
-        result
+        search_explored(searcher, g, 0, active, lower_bounds, Explore::PlainDfs).0
+    }
+
+    /// One cluster, many variants: every ordered pair of distinct spellings
+    /// of one journal title becomes a replacement — the mega-group shape,
+    /// where all graphs share long inverted lists. (Kept short enough for
+    /// the unbounded budget to finish; long titles make it explode.)
+    fn mega_group_replacements() -> Vec<Replacement> {
+        let values = [
+            "Journal Data",
+            "J. Data",
+            "Journal D.",
+            "J. D.",
+            "Jnl Data",
+            "Jnl. Data",
+        ];
+        let mut reps = Vec::new();
+        for a in &values {
+            for b in &values {
+                if a != b {
+                    reps.push(Replacement::new(*a, *b));
+                }
+            }
+        }
+        reps
+    }
+
+    /// Searches every graph of `reps` through the arena DFS and through the
+    /// [`PathList`] oracle DFS, each with its own cumulative lower bounds,
+    /// and asserts equal results, equal steps and equal merged bounds after
+    /// every search.
+    fn assert_arena_dfs_matches_the_list_dfs(reps: &[Replacement], budget: usize) {
+        let config = GroupingConfig {
+            max_search_steps: budget,
+            ..GroupingConfig::default()
+        };
+        let prep = prepared(reps, &config);
+        let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
+        // All graphs active, then every third one retired as if emitted.
+        let all = vec![true; prep.len()];
+        let thinned: Vec<bool> = (0..prep.len()).map(|g| g % 3 != 1).collect();
+        for (active, threshold) in [(&all, 0), (&all, 1), (&thinned, 1)] {
+            let mut bounds_arena = vec![1u32; prep.len()];
+            let mut bounds_list = vec![1u32; prep.len()];
+            for g in (0..prep.len()).map(|g| GraphId(g as u32)) {
+                let ctx = format!("budget={budget} threshold={threshold} graph={g:?}");
+                let (a, steps_a) = search_explored(
+                    &searcher,
+                    g,
+                    threshold,
+                    active,
+                    &mut bounds_arena,
+                    Explore::ArenaDfs,
+                );
+                let (b, steps_b) = search_explored(
+                    &searcher,
+                    g,
+                    threshold,
+                    active,
+                    &mut bounds_list,
+                    Explore::PlainDfs,
+                );
+                assert_eq!(steps_a, steps_b, "{ctx}");
+                assert_eq!(bounds_arena, bounds_list, "{ctx}");
+                match (a, b) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.path, b.path, "{ctx}");
+                        assert_eq!(a.list, b.list, "{ctx}");
+                        assert_eq!(a.complete, b.complete, "{ctx}");
+                        assert_eq!(a.share_count, b.share_count, "{ctx}");
+                    }
+                    (a, b) => panic!("{ctx}: {:?} vs {:?}", a.is_some(), b.is_some()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arena_dfs_matches_the_list_dfs_on_the_family_workload_at_any_budget() {
+        for budget in [25, 200, 5_000, 100_000_000] {
+            assert_arena_dfs_matches_the_list_dfs(&family_replacements(), budget);
+        }
+    }
+
+    #[test]
+    fn arena_dfs_matches_the_list_dfs_on_the_mega_group_at_any_budget() {
+        for budget in [25, 200, 5_000, 100_000_000] {
+            assert_arena_dfs_matches_the_list_dfs(&mega_group_replacements(), budget);
+        }
     }
 
     #[test]

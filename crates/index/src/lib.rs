@@ -11,7 +11,8 @@
 //! lists it produces ([`PathList`]). A [`PathList`] tracks, for every graph
 //! that contains the current path anchored at its first node, the node the
 //! path has reached; extending the path by a label is a single
-//! [`InvertedIndex::extend`] call.
+//! [`InvertedIndex::extend`] call, or [`InvertedIndex::extend_into`] to
+//! write the extended list into a reused buffer without allocating.
 //!
 //! ## Layout
 //!
@@ -25,10 +26,10 @@
 //! hottest pruning probe ([`InvertedIndex::list_graph_count`]) O(1).
 //!
 //! A [`PathList`] is a range view over an `Arc`-shared occurrence arena:
-//! cloning one (the pivot search snapshots its best list on every
-//! improvement) is a reference-count bump, and [`PathList::slice_graphs`]
-//! splits a list by graph range without copying occurrences — which is what
-//! lets search subtasks carry their lists for free.
+//! cloning one is a reference-count bump, and [`PathList::slice_graphs`]
+//! splits a list by graph range without copying occurrences. The pivot
+//! search keeps its working lists in its own buffers and builds a
+//! [`PathList`] only for a result or a task it hands to another thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -696,12 +697,27 @@ impl InvertedIndex {
     /// scan, so a short occurrence list against a mega posting list (or vice
     /// versa) costs `O(short × log(long))`.
     pub fn extend(&self, current: &PathList, label: LabelId) -> PathList {
+        let mut out = Vec::new();
+        self.extend_into(current.occurrences(), label, &mut out);
+        PathList::from_sorted(out)
+    }
+
+    /// [`InvertedIndex::extend`] into a caller-owned buffer: clears `out` and
+    /// writes the intersection of `occs` (sorted by `(graph, end)` and
+    /// deduplicated, as in a [`PathList`]) with the postings of `label` into
+    /// it, sorted and deduplicated. Reusing one buffer across calls makes the
+    /// step allocation-free once the buffer has grown to the largest list.
+    pub fn extend_into(
+        &self,
+        occs: &[PathOccurrence],
+        label: LabelId,
+        out: &mut Vec<PathOccurrence>,
+    ) {
+        out.clear();
         let postings = self.list(label);
-        let occs = current.occurrences();
         if postings.is_empty() || occs.is_empty() {
-            return PathList::default();
+            return;
         }
-        let mut out: Vec<PathOccurrence> = Vec::new();
         let mut oi = 0usize;
         let mut pi = 0usize;
         while oi < occs.len() && pi < postings.len() {
@@ -744,7 +760,6 @@ impl InvertedIndex {
             pi = block_end;
         }
         out.dedup();
-        PathList::from_sorted(out)
     }
 
     /// Postings stored across all labels (the CSR arena's length).
@@ -772,7 +787,7 @@ impl InvertedIndex {
 /// point), found by exponential search from the front followed by a binary
 /// search of the bracketed range — `O(log distance)` when the answer is near
 /// the front, which is the common case for the graph-by-graph merge walks in
-/// [`InvertedIndex::extend`]. `pred` must be monotone (true-prefix).
+/// [`InvertedIndex::extend_into`]. `pred` must be monotone (true-prefix).
 fn gallop<T>(slice: &[T], pred: impl Fn(&T) -> bool) -> usize {
     match slice.first() {
         Some(first) if pred(first) => {}
@@ -1191,6 +1206,52 @@ mod tests {
             );
             let full = InvertedIndex::build(&all_graphs, interner.len());
             prop_assert_eq!(appended.raw_parts(), full.raw_parts());
+        }
+
+        /// `extend_into` is `extend` into a caller-owned buffer: whatever the
+        /// buffer held before (the pivot search reuses one across steps), it
+        /// ends up holding exactly `extend`'s list — for the universe list,
+        /// the empty list, one-label lists and random sorted lists, against
+        /// every known label plus an unknown one.
+        #[test]
+        fn prop_extend_into_a_dirty_buffer_equals_extend(
+            pairs in proptest::collection::vec(("[a-c, ]{1,8}", "[a-c,. ]{1,8}"), 1..8),
+            raw in proptest::collection::vec((0u32..10, 0u32..10), 0..24),
+            dirt in proptest::collection::vec((0u32..4, 0u32..12), 0..10),
+            first_label in 0usize..64,
+        ) {
+            let mut interner = LabelInterner::new();
+            let builder = GraphBuilder::new(GraphConfig::default());
+            let graphs: Vec<TransformationGraph> = pairs
+                .iter()
+                .filter(|(lhs, rhs)| lhs != rhs)
+                .filter_map(|(lhs, rhs)| builder.build(&Replacement::new(lhs, rhs), &mut interner))
+                .collect();
+            let index = InvertedIndex::build(&graphs, interner.len());
+            let universe = PathList::universe(graphs.len());
+            let random = PathList::from_occurrences(
+                raw.iter()
+                    .filter(|(g, _)| (*g as usize) < graphs.len())
+                    .map(|&(g, end)| PathOccurrence { graph: GraphId(g), end })
+                    .collect(),
+            );
+            let one_label = index.extend(
+                &universe,
+                LabelId((first_label % index.num_labels().max(1)) as u32),
+            );
+            let mut buf: Vec<PathOccurrence> = dirt
+                .iter()
+                .map(|&(g, end)| PathOccurrence { graph: GraphId(g), end })
+                .collect();
+            let empty = PathList::default();
+            for list in [&universe, &empty, &one_label, &random] {
+                for l in 0..=index.num_labels() {
+                    let label = LabelId(l as u32);
+                    index.extend_into(list.occurrences(), label, &mut buf);
+                    let extended = index.extend(list, label);
+                    prop_assert_eq!(&buf[..], extended.occurrences());
+                }
+            }
         }
     }
 
