@@ -232,9 +232,8 @@ fn threads_axis() {
 /// Lookalike variants of one long title, differing only in a trailing
 /// two-digit number — the shape a sorted-neighborhood false-merge produces.
 /// Every pair shares the same structure signature, so *all* candidates land
-/// in one partition and the first pivot search faces hundreds of
-/// near-identical graphs with long shared inverted lists: the single
-/// expensive search nothing but intra-search sharding can speed up.
+/// in one partition and the first pivot searches face hundreds of
+/// near-identical graphs with long shared inverted lists.
 fn mega_values() -> Vec<String> {
     (10..22)
         .map(|i| format!("International Journal of Distributed Data Systems Volume {i}"))
@@ -242,13 +241,12 @@ fn mega_values() -> Vec<String> {
 }
 
 /// The single-mega-group axis of Figure 9: one huge cluster of variant
-/// spellings — the worst-case column shape, where the graphs-to-search axis
-/// offers no parallelism (the incremental ramp's early batches search one
-/// graph at a time) and only intra-search sharding can help. Measures the
-/// time to the *first* group (the `ec serve` latency proxy) at 1, 2 and 4
-/// threads, asserts the group is bit-identical across rows, and exports
-/// `fig9_mega_group.csv`. Before the frontier engine this axis showed ~1x at
-/// every thread count.
+/// spellings — the worst-case column shape. Measures the time to the
+/// *first* group (the `ec serve` latency proxy) at 1, 2 and 4 threads,
+/// asserts the group is bit-identical across rows, and exports
+/// `fig9_mega_group.csv`. Every pivot search is one sequential DFS, so the
+/// speedup comes from sharding graph preparation and the incremental
+/// grouper's cross-graph search batches across workers.
 fn mega_group_axis() {
     let values = mega_values();
     let candidates = generate_candidates(

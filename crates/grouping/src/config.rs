@@ -41,11 +41,11 @@ pub struct GroupingConfig {
     /// workloads where the budget binds, since pruning strength then decides
     /// where a search is cut off.
     pub max_search_steps: usize,
-    /// Worker threads for the sharded stages: graph preparation, the
+    /// Worker threads for the sharded stages: graph preparation and the
     /// per-graph pivot-path searches of the one-shot and incremental
-    /// groupers, and the frontier waves inside one search when workers
-    /// outnumber the graphs to search. Every setting produces bit-identical
-    /// groups; only the wall-clock time changes (see `ec_graph::Parallelism`).
+    /// groupers (each search itself is one sequential DFS). Every setting
+    /// produces bit-identical groups; only the wall-clock time changes (see
+    /// `ec_graph::Parallelism`).
     pub parallelism: Parallelism,
 }
 

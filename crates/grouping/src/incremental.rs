@@ -104,12 +104,9 @@ impl IncrementalGrouper {
     /// condition halts mid-batch (at most one round's worth, ≤ the work
     /// already done).
     ///
-    /// The ramp's early batches search only one or two graphs, which on a
-    /// mega-group partition (one huge cluster of lookalikes) used to pin a
-    /// single worker while the rest of the pool idled. Those batches now
-    /// engage the frontier engine's parallel wave scheduling *inside* each
-    /// search (the frontier engine's waves), so `--threads` cuts
-    /// time-to-first-group on exactly the worst-case columns.
+    /// Each batch is sharded across at most as many workers as it has graphs
+    /// (every search is one sequential DFS), so the ramp's first rounds run
+    /// on one or two workers.
     pub fn next_group(&mut self) -> Option<Group> {
         if self.remaining == 0 {
             return self.skipped.pop().map(Group::singleton);

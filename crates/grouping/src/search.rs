@@ -21,64 +21,37 @@
 //! right-hand sides trivially share an all-constants path that conveys no
 //! transformation at all).
 //!
-//! ## The frontier engine
+//! ## One DFS per search
 //!
-//! The search used to be one recursive DFS — which made a single expensive
-//! search (the mega-group shape: one huge cluster whose graphs all share
-//! long inverted lists) impossible to parallelize: `search_many` shards
-//! across graphs-to-search, so one mega search pinned a single worker while
-//! the rest of the pool idled. The search now runs on an explicit-frontier
-//! engine:
-//!
-//! * the root's viable extensions are computed once and each becomes a
-//!   [`SearchTask`] — an independent subproblem carrying its path prefix,
-//!   the prefix's occurrence list as an owned [`PathList`], a *snapshot* of
-//!   the acceptance bar and of the searched graph's own lower bound, and a
-//!   private step-budget slice;
-//! * tasks are pulled off the frontier queue in deterministic **waves**
-//!   (sizes 1, 2, 4, 8, 8, …): every task of a wave reads only state
-//!   snapshotted at the wave boundary, and wave outcomes are reduced in
-//!   expansion order — bests folded with the acceptance rule, [`BoundRaises`]
-//!   max-merged, unspent budget returned to the pot;
-//! * a wave's tasks run through [`ec_graph::Parallelism::run_nested`]: inline
-//!   when scheduling is sequential, on the shared worker pool otherwise.
-//!
-//! The task tree, the per-task pruning inputs and the reduction order are all
-//! fixed by the search inputs alone — scheduling only decides *where* a task
-//! runs — so the engine's result is bit-identical for every thread count by
-//! construction, even when [`GroupingConfig::max_search_steps`] truncates
-//! the search. The first wave holds a single task (the most promising root
-//! extension, which usually establishes the final bar), so later, wider
-//! waves prune almost as well as the fully sequential DFS.
+//! Every search is one sequential DFS from the root, spending a single step
+//! budget ([`GroupingConfig::max_search_steps`]). Parallelism lives one level
+//! up: [`PivotSearcher::search_many`] shards the graphs to search across the
+//! shared worker pool, and its snapshot-bound semantics keep each search's
+//! pruning inputs independent of the sharding, so the output is identical at
+//! every thread count even when the budget truncates a search.
 //!
 //! ## The allocation-free kernel
 //!
-//! Below the root, each task runs a sequential DFS on its own [`Arena`]: a
-//! `Vec` of occurrences used as a stack, plus a candidate stack beside it.
-//! A node intersects its list with each label's postings into a reused
-//! scratch buffer ([`InvertedIndex::extend_into`]), appends every viable
-//! candidate's list to the arena's tail as a `Range`, and truncates the
-//! arena back to its base on return. Once the buffers have grown, a step
-//! allocates nothing; a list becomes a [`PathList`] only when it is accepted
-//! as a new best. Most steps are spent in budget-exhausted searches over
-//! small partitions whose lists hold a few dozen occurrences, where an
-//! allocation per step would cost more than the intersection itself. The
-//! former `PathList`-per-step DFS is kept under `#[cfg(test)]` as the
-//! kernel's oracle: same steps, same results, at every budget.
+//! The DFS runs on one [`Arena`] per search: a `Vec` of occurrences used as
+//! a stack, plus a candidate stack beside it. A node intersects its list with
+//! each label's postings into a reused scratch buffer
+//! ([`InvertedIndex::extend_into`]), appends every viable candidate's list to
+//! the arena's tail as a `Range`, and truncates the arena back to its base on
+//! return. Once the buffers have grown, a step allocates nothing; a list
+//! becomes a [`PathList`] only when it is accepted as a new best. Most steps
+//! are spent in budget-exhausted searches over small partitions whose lists
+//! hold a few dozen occurrences, where an allocation per step would cost more
+//! than the intersection itself. The former `PathList`-per-step DFS is kept
+//! under `#[cfg(test)]` as the kernel's oracle: same steps, same results, at
+//! every budget.
 
 use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
 use ec_dsl::StringFn;
-use ec_graph::{LabelId, Parallelism, PoolTask};
+use ec_graph::{LabelId, PoolTask};
 use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Upper limit of the frontier's wave-size ramp (1, 2, 4, 8, 8, …). Waves are
-/// the engine's determinism unit — every task of a wave reads only state
-/// snapshotted at the wave boundary — so the cap bounds both the attainable
-/// intra-search parallelism and how stale a task's pruning inputs can be.
-const INTRA_SEARCH_WAVE_CAP: usize = 8;
 
 /// Registry handles for the search's two budget signals: how many steps each
 /// pivot search actually spends, and how often the budget runs dry (a search
@@ -168,15 +141,9 @@ struct SearchState<'a> {
     /// Write-only update list of bound raises; the caller merges it into the
     /// shared bounds afterwards by element-wise maximum.
     raised: &'a mut BoundRaises,
-    /// The acceptance bar: the `(share count, quality)` every new complete
-    /// path must beat. Holds the maximum of the [`SearchTask`] floor this
-    /// state started from (the bar snapshotted when the task was spawned)
-    /// and the local `best` — for a whole-search DFS the floor is `None`, so
-    /// the bar tracks `best` exactly.
-    bar: Option<(usize, Quality)>,
-    /// Best complete path found *by this state*: `(path, list, share count,
-    /// quality)`. A path only lands here when it also beats the bar, so a
-    /// task's best is `None` when nothing in its subtree beat its floor.
+    /// Best complete path found so far: `(path, list, share count,
+    /// quality)`. Its `(share count, quality)` is the acceptance bar every
+    /// new complete path must beat.
     best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
     threshold: usize,
 }
@@ -190,12 +157,23 @@ impl SearchState<'_> {
         quality: Quality,
         make: impl FnOnce() -> (Vec<LabelId>, PathList),
     ) {
-        if count <= self.threshold || !beats(count, quality, &self.bar) {
+        if count <= self.threshold || !self.beats_best(count, quality) {
             return;
         }
         let (path, list) = make();
-        self.bar = Some((count, quality));
         self.best = Some((path, list, count, quality));
+    }
+
+    /// Does a candidate `(count, quality)` beat the best path so far? Quality
+    /// only degrades as a path grows, so a partial path's quality is a valid
+    /// lower bound for this comparison (the pruning sites rely on that).
+    fn beats_best(&self, count: usize, quality: Quality) -> bool {
+        match &self.best {
+            None => true,
+            Some((_, _, best_count, best_quality)) => {
+                count > *best_count || (count == *best_count && quality < *best_quality)
+            }
+        }
     }
 
     /// Whether an extension with share count `count` and partial quality
@@ -216,7 +194,7 @@ impl SearchState<'_> {
             constant_chars: const_chars,
             len,
         };
-        beats(count, partial, &self.bar)
+        self.beats_best(count, partial)
     }
 
     /// Global threshold update (Algorithm 4): every active graph for which a
@@ -231,18 +209,6 @@ impl SearchState<'_> {
                     self.own_bound = count as u32;
                 }
             }
-        }
-    }
-}
-
-/// Does a candidate `(count, quality)` beat the acceptance bar? Quality only
-/// degrades as a path grows, so a partial path's quality is a valid lower
-/// bound for this comparison (the pruning sites rely on that).
-fn beats(count: usize, quality: Quality, bar: &Option<(usize, Quality)>) -> bool {
-    match bar {
-        None => true,
-        Some((bar_count, bar_quality)) => {
-            count > *bar_count || (count == *bar_count && quality < *bar_quality)
         }
     }
 }
@@ -309,72 +275,17 @@ impl BoundRaises {
             }
         }
     }
-
-    /// Absorbs another update list (raises merge by maximum, so absorption
-    /// order never matters). Compacts on the same doubling watermark as
-    /// [`BoundRaises::push`].
-    fn absorb(&mut self, other: BoundRaises) {
-        self.entries.extend(other.entries);
-        if self.entries.len() > self.watermark.max(64) {
-            self.compact();
-            self.watermark = self.entries.len() * 2;
-        }
-    }
 }
 
 /// How one search explores below the root.
 #[derive(Clone, Copy)]
 enum Explore {
-    /// The frontier engine; the parallelism only schedules its waves.
-    Frontier(Parallelism),
-    /// The whole search as one recursive arena DFS — the production kernel
-    /// without the frontier split, compared step for step against
-    /// [`Explore::PlainDfs`].
-    #[cfg(test)]
+    /// The production kernel: one recursive DFS over the [`Arena`].
     ArenaDfs,
-    /// The whole search as one recursive DFS over [`PathList`]s, one
-    /// allocated list per step: the kernel's and the frontier engine's
-    /// oracle.
+    /// One recursive DFS over [`PathList`]s, one allocated list per step:
+    /// the arena kernel's oracle.
     #[cfg(test)]
     PlainDfs,
-}
-
-/// One frontier subproblem of the intra-search engine: explore every
-/// pivot-path completion below one root extension of the searched graph.
-/// Everything a task reads is snapshotted at spawn time, so a task is a pure
-/// function of its fields — which is what makes the engine's output
-/// independent of where (and when) the task runs.
-struct SearchTask {
-    /// The root extension's label — the first label of every path in the
-    /// subtree.
-    label: LabelId,
-    /// The node the one-label prefix has reached in the searched graph.
-    node: u32,
-    /// The prefix's occurrence list. An owned [`PathList`] keeps the task
-    /// `'static` (it may run on any pool worker); the task copies it into
-    /// its own [`Arena`] once and runs every step below it there.
-    list: PathList,
-    /// Constant output characters emitted by the prefix.
-    const_chars: usize,
-    /// Snapshot of the acceptance bar when the task was spawned.
-    floor: Option<(usize, Quality)>,
-    /// Snapshot of the searched graph's own global lower bound at spawn.
-    own_bound: u32,
-    /// The task's private step-budget slice.
-    budget: usize,
-}
-
-/// What one [`SearchTask`] produced, reduced by the engine in expansion
-/// order.
-struct TaskOutcome {
-    /// The subtree's best complete path, if any beat the task's floor.
-    best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
-    /// Bound raises recorded in the subtree.
-    raised: BoundRaises,
-    /// The searched graph's own bound as raised within the subtree.
-    own_bound: u32,
-    /// Steps actually consumed (≤ the task's budget slice).
-    steps_used: usize,
 }
 
 /// One viable extension of a DFS node. Its occurrence list lives in the
@@ -392,9 +303,9 @@ struct Candidate {
     const_chars: usize,
 }
 
-/// The per-task working memory of the DFS, used as two stacks. Each DFS node
-/// appends its viable candidates (and their occurrence lists) at the tails
-/// and truncates both back to their bases on return, so a parent's
+/// The per-search working memory of the DFS, used as two stacks. Each DFS
+/// node appends its viable candidates (and their occurrence lists) at the
+/// tails and truncates both back to their bases on return, so a parent's
 /// candidates stay valid while its children run. Once the buffers have grown
 /// to the deepest path's needs, a step allocates nothing: a list only becomes
 /// a [`PathList`] when [`SearchState::offer`] accepts a new best.
@@ -407,16 +318,6 @@ struct Arena {
     scratch: Vec<PathOccurrence>,
     /// Candidates of the nodes on the current DFS path.
     candidates: Vec<Candidate>,
-}
-
-impl Arena {
-    /// An arena holding `list` as its only occurrence list, at `0..len`.
-    fn with_list(list: Vec<PathOccurrence>) -> Self {
-        Arena {
-            occs: list,
-            ..Arena::default()
-        }
-    }
 }
 
 impl PivotSearcher {
@@ -467,29 +368,26 @@ impl PivotSearcher {
     ) -> Option<PivotResult> {
         // Raises are merged into `lower_bounds` after the search, which keeps
         // the cumulative-bounds behavior of Algorithm 4 for a lone `search`
-        // call (the engine itself only ever reads the searched graph's own
+        // call (the DFS itself only ever reads the searched graph's own
         // bound, tracked separately).
         let own_bound = lower_bounds[g.index()];
         let mut raised = BoundRaises::default();
-        let active: Arc<[bool]> = active.into();
-        let explore = Explore::Frontier(Parallelism::SEQUENTIAL);
+        let explore = Explore::ArenaDfs;
         let (result, _) =
-            self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore);
+            self.search_with_bounds(g, threshold, active, own_bound, &mut raised, explore);
         raised.merge_into(lower_bounds);
         result
     }
 
     /// The core search: reads only `own_bound` (the searched graph's own
     /// global threshold) and records every bound raise into the write-only
-    /// `raised` list, without ever reading other graphs' entries. The
-    /// frontier's parallelism decides only where the engine's wave tasks run
-    /// (inline or on the shared pool) — never what they compute. Returns the
+    /// `raised` list, without ever reading other graphs' entries. Returns the
     /// result and the steps the search consumed.
     fn search_with_bounds(
         &self,
         g: GraphId,
         threshold: usize,
-        active: &Arc<[bool]>,
+        active: &[bool],
         own_bound: u32,
         raised: &mut BoundRaises,
         explore: Explore,
@@ -497,33 +395,33 @@ impl PivotSearcher {
         let graph = self.prepared.graph(g);
         // Minimum number of edges from each node of `graph` to its last node;
         // paths that cannot complete within the length cap are never
-        // explored. Shared with the engine's subtree tasks.
-        let dist_to_end = Arc::new(distance_to_end(graph));
+        // explored.
+        let dist_to_end = distance_to_end(graph);
+        let budget = self.config.max_search_steps.max(1);
         let mut state = SearchState {
             index: self.prepared.index(),
-            active: &active[..],
+            active,
             last_nodes: &self.last_nodes,
             max_path_len: self.config.max_path_len,
             early_termination: self.config.early_termination,
-            dist_to_end: &dist_to_end[..],
-            steps_left: self.config.max_search_steps.max(1),
+            dist_to_end: &dist_to_end,
+            steps_left: budget,
             constant_chars: &self.constant_chars,
             own_bound,
             raised,
-            bar: None,
             best: None,
             threshold,
         };
         // The empty path's list: every graph, anchored at its first node.
-        let mut arena = Arena::with_list(
-            (0..self.prepared.len())
+        let mut arena = Arena {
+            occs: (0..self.prepared.len())
                 .map(|i| PathOccurrence {
                     graph: GraphId(i as u32),
                     end: 0,
                 })
                 .collect(),
-        );
-        let universe = 0..arena.occs.len();
+            ..Arena::default()
+        };
 
         // Seed the best path with the single-edge paths over the full-output
         // edge (which always includes the `ConstantStr(t)` label): this both
@@ -547,189 +445,46 @@ impl PivotSearcher {
             state.dist_to_end.first().copied().unwrap_or(u32::MAX) as usize <= state.max_path_len;
         if reachable {
             match explore {
-                Explore::Frontier(waves) if graph.last_node() != 0 => {
-                    self.run_frontier(g, &mut state, &mut arena, active, &dist_to_end, waves);
+                Explore::ArenaDfs => {
+                    let (path, list) = (&mut Vec::new(), 0..arena.occs.len());
+                    dfs(graph, g, 0, path, list, 0, &mut state, &mut arena);
                 }
                 #[cfg(test)]
                 Explore::PlainDfs => {
                     let universe = PathList::universe(self.prepared.len());
                     tests::list_dfs(graph, g, 0, &mut Vec::new(), &universe, 0, &mut state);
                 }
-                // A one-node graph has no root extension to split into tasks.
-                _ => {
-                    let (path, list) = (&mut Vec::new(), universe);
-                    dfs(graph, g, 0, path, list, 0, &mut state, &mut arena);
-                }
             }
         }
         let metrics = search_metrics();
-        let initial_budget = self.config.max_search_steps.max(1);
-        let steps_used = initial_budget - state.steps_left;
+        let steps_used = budget - state.steps_left;
         metrics.steps.observe(steps_used as u64);
         if state.steps_left == 0 {
             metrics.budget_exhausted.inc();
         }
-        let last_nodes = state.last_nodes;
         let Some((path, list, count, _)) = state.best.take() else {
             return (None, steps_used);
         };
-        let complete: Vec<GraphId> = list
+        let mut complete: Vec<GraphId> = list
             .occurrences()
             .iter()
-            .filter(|occ| active[occ.graph.index()] && occ.end == last_nodes[occ.graph.index()])
+            .filter(|occ| {
+                active[occ.graph.index()] && occ.end == self.last_nodes[occ.graph.index()]
+            })
             .map(|occ| occ.graph)
             .collect();
-        let mut complete_dedup = complete;
-        complete_dedup.dedup();
+        complete.dedup();
         let result = PivotResult {
             path,
             list,
-            complete: complete_dedup,
+            complete,
             share_count: count,
         };
         (Some(result), steps_used)
     }
 
-    /// The explicit-frontier engine (see the module docs): computes the
-    /// root's viable extensions once, turns each into a [`SearchTask`], and
-    /// executes the frontier in deterministic waves whose outcomes reduce in
-    /// expansion order. `state` carries the pruning inputs in and the best
-    /// path (plus raises and remaining budget) out; `arena` holds the empty
-    /// path's list as its only list.
-    fn run_frontier(
-        &self,
-        g: GraphId,
-        state: &mut SearchState<'_>,
-        arena: &mut Arena,
-        active: &Arc<[bool]>,
-        dist_to_end: &Arc<Vec<u32>>,
-        waves: Parallelism,
-    ) {
-        let graph = self.prepared.graph(g);
-        // Root expansion: the DFS's candidate step at node 0, including step
-        // consumption; `false` means the budget died during the expansion,
-        // exactly where the DFS would have stopped.
-        let root = 0..arena.occs.len();
-        if !collect_candidates(graph, 0, root, 0, 0, state, arena) {
-            return;
-        }
-        let mut frontier = arena.candidates.iter();
-        let mut exhausted = false;
-        let mut wave_cap = 1usize;
-        while !exhausted && state.steps_left > 0 {
-            // Pull the next wave of still-viable tasks off the frontier. The
-            // viability re-check mirrors the DFS's pre-descend re-check, with
-            // the bar and own bound as of this wave boundary.
-            let mut wave: Vec<SearchTask> = Vec::with_capacity(wave_cap);
-            while wave.len() < wave_cap {
-                let Some(c) = frontier.next() else {
-                    exhausted = true;
-                    break;
-                };
-                if !state.still_viable(c.count, c.const_chars, 1) {
-                    continue;
-                }
-                wave.push(SearchTask {
-                    label: c.label,
-                    node: c.to,
-                    list: path_list(&arena.occs[c.start..c.end]),
-                    const_chars: c.const_chars,
-                    floor: state.bar,
-                    own_bound: state.own_bound,
-                    budget: 0, // sliced below, once the wave's size is known
-                });
-            }
-            if wave.is_empty() {
-                continue;
-            }
-            // Slice the remaining budget across the wave; unspent slices
-            // return to the pot when the wave's outcomes are reduced.
-            let share = state.steps_left / wave.len();
-            let extra = state.steps_left % wave.len();
-            for (i, task) in wave.iter_mut().enumerate() {
-                task.budget = share + usize::from(i < extra);
-            }
-            let tasks: Vec<PoolTask<TaskOutcome>> = wave
-                .into_iter()
-                .map(|task| {
-                    let searcher = self.clone();
-                    let active = Arc::clone(active);
-                    let dist_to_end = Arc::clone(dist_to_end);
-                    let threshold = state.threshold;
-                    Box::new(move || searcher.run_task(g, task, threshold, &active, &dist_to_end))
-                        as PoolTask<TaskOutcome>
-                })
-                .collect();
-            // Reduce outcomes in expansion order — together with the
-            // snapshot semantics above this is what keeps the engine
-            // bit-identical for every thread count.
-            for outcome in waves.run_nested(tasks) {
-                state.steps_left -= outcome.steps_used;
-                state.own_bound = state.own_bound.max(outcome.own_bound);
-                state.raised.absorb(outcome.raised);
-                if let Some((path, list, count, quality)) = outcome.best {
-                    state.offer(count, quality, || (path, list));
-                }
-            }
-            wave_cap = (wave_cap * 2).min(INTRA_SEARCH_WAVE_CAP);
-        }
-    }
-
-    /// Executes one [`SearchTask`]: a sequential arena DFS over the task's
-    /// subtree, reading only the task's snapshots. A pure function of its
-    /// arguments.
-    fn run_task(
-        &self,
-        g: GraphId,
-        task: SearchTask,
-        threshold: usize,
-        active: &Arc<[bool]>,
-        dist_to_end: &Arc<Vec<u32>>,
-    ) -> TaskOutcome {
-        let graph = self.prepared.graph(g);
-        let mut raised = BoundRaises::default();
-        let budget = task.budget;
-        let mut state = SearchState {
-            index: self.prepared.index(),
-            active: &active[..],
-            last_nodes: &self.last_nodes,
-            max_path_len: self.config.max_path_len,
-            early_termination: self.config.early_termination,
-            dist_to_end: &dist_to_end[..],
-            steps_left: budget,
-            constant_chars: &self.constant_chars,
-            own_bound: task.own_bound,
-            raised: &mut raised,
-            bar: task.floor,
-            best: None,
-            threshold,
-        };
-        let mut arena = Arena::with_list(task.list.occurrences().to_vec());
-        let list = 0..arena.occs.len();
-        let mut path = vec![task.label];
-        dfs(
-            graph,
-            g,
-            task.node,
-            &mut path,
-            list,
-            task.const_chars,
-            &mut state,
-            &mut arena,
-        );
-        let steps_used = budget - state.steps_left;
-        let own_bound = state.own_bound;
-        let best = state.best.take();
-        TaskOutcome {
-            best,
-            raised,
-            own_bound,
-            steps_used,
-        }
-    }
-
-    /// Searches the pivot paths of `gids`, sharded across scoped worker
-    /// threads, and returns the results in `gids` order.
+    /// Searches the pivot paths of `gids`, sharded across the shared worker
+    /// pool, and returns the results in `gids` order.
     ///
     /// The output is **bit-identical for every thread count, by
     /// construction**: every search in the call reads only its searched
@@ -751,13 +506,6 @@ impl PivotSearcher {
     /// work-stealing pool (`ec_graph::pool`) — no scoped threads are spawned
     /// per call, which is what makes the incremental grouper's speculative
     /// batch loop cheap inside long-lived processes like `ec serve`.
-    ///
-    /// When workers outnumber the graphs to search (the mega-group shape —
-    /// one or two huge searches pinning a single worker while the rest of
-    /// the pool idles), each search additionally runs its frontier waves *in
-    /// parallel* on the
-    /// same pool. That choice is scheduling-only: the engine computes the
-    /// same task tree either way, so it never affects results.
     pub fn search_many(
         &self,
         gids: &[GraphId],
@@ -769,14 +517,7 @@ impl PivotSearcher {
         let _span = ec_obs::span!("grouping.pivot_search", gids.len());
         let shards = parallelism.shards(gids.len());
         let chunk_size = gids.len().div_ceil(shards.max(1)).max(1);
-        // Intra-search wave scheduling: worth paying for only when workers
-        // outnumber the graphs to search; results are identical either way.
-        let explore = Explore::Frontier(if parallelism.threads() > gids.len() {
-            parallelism
-        } else {
-            Parallelism::SEQUENTIAL
-        });
-        let active: Arc<[bool]> = active.into();
+        let explore = Explore::ArenaDfs;
         type ShardOutput = (Vec<Option<PivotResult>>, BoundRaises);
         let shard_outputs: Vec<ShardOutput> = if shards <= 1 {
             let mut raised = BoundRaises::default();
@@ -789,7 +530,7 @@ impl PivotSearcher {
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|(g, own_bound)| {
-                    self.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore)
+                    self.search_with_bounds(g, threshold, active, own_bound, &mut raised, explore)
                         .0
                 })
                 .collect();
@@ -798,6 +539,7 @@ impl PivotSearcher {
             // Snapshot only the searched graphs' own bounds, chunk by chunk,
             // before any search runs — the values every search reads are
             // fixed at entry no matter how chunks are scheduled.
+            let active: Arc<[bool]> = active.into();
             let tasks: Vec<PoolTask<ShardOutput>> = gids
                 .chunks(chunk_size)
                 .map(|chunk| {
@@ -876,8 +618,7 @@ fn path_list(occs: &[PathOccurrence]) -> PathList {
     PathList::from_occurrences(occs.to_vec())
 }
 
-/// The DFS's candidate step, shared by the recursive DFS and the frontier
-/// engine's root expansion: appends the viable extensions of `node` (whose
+/// The DFS's candidate step: appends the viable extensions of `node` (whose
 /// path so far has the arena list `list`) to the arena's candidate stack,
 /// sorted into exploration order — decreasing share count (ties: longer
 /// edges, then fewer constant characters). Finding a high-share complete
@@ -1195,70 +936,83 @@ mod tests {
 
     #[test]
     fn search_many_is_bit_identical_to_sequential_searches() {
-        // A workload with several transformation families so the searches
-        // interact through the shared lower bounds.
-        let mut reps = Vec::new();
-        for (last, first) in [
-            ("Lee", "Mary"),
-            ("Smith", "James"),
-            ("Brown", "Anna"),
-            ("Jones", "Paul"),
-            ("Davis", "Emma"),
-            ("Moore", "Lucy"),
-        ] {
-            reps.push(Replacement::new(
-                format!("{last}, {first}"),
-                format!("{first} {last}"),
-            ));
-            let initial = first.chars().next().unwrap();
-            reps.push(Replacement::new(
-                format!("{last}, {first}"),
-                format!("{initial}. {last}"),
-            ));
-        }
-        let config = GroupingConfig::default();
-        let prep = prepared(&reps, &config);
-        let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
-        let active = vec![true; prep.len()];
-        let gids: Vec<GraphId> = (0..prep.len()).map(|g| GraphId(g as u32)).collect();
+        // Several transformation families, so the searches interact through
+        // the shared lower bounds. The unbound budget lets every search
+        // finish; 25 steps truncates most of them.
+        const UNBOUND: usize = 100_000_000;
+        let reps = family_replacements();
+        for budget in [UNBOUND, 25] {
+            let config = GroupingConfig {
+                max_search_steps: budget,
+                ..GroupingConfig::default()
+            };
+            let prep = prepared(&reps, &config);
+            let searcher = PivotSearcher::new(Arc::clone(&prep), &config);
+            let active = vec![true; prep.len()];
+            let gids: Vec<GraphId> = (0..prep.len()).map(|g| GraphId(g as u32)).collect();
 
-        let mut seq_bounds = vec![1u32; prep.len()];
-        let sequential: Vec<Option<PivotResult>> = gids
-            .iter()
-            .map(|&g| searcher.search(g, 0, &active, &mut seq_bounds))
-            .collect();
-        for threads in [1, 2, 4, 7] {
-            let mut par_bounds = vec![1u32; prep.len()];
-            let parallel = searcher.search_many(
-                &gids,
-                0,
-                &active,
-                &mut par_bounds,
-                ec_graph::Parallelism::fixed(threads),
-            );
-            assert_eq!(parallel.len(), sequential.len());
-            for (a, b) in sequential.iter().zip(&parallel) {
-                let a = a.as_ref().unwrap();
-                let b = b.as_ref().unwrap();
-                assert_eq!(a.path, b.path, "threads={threads}");
-                assert_eq!(a.share_count, b.share_count, "threads={threads}");
-                assert_eq!(a.complete, b.complete, "threads={threads}");
-            }
-            // The merged bounds are sound: never above the sequential bounds'
-            // final values' own soundness limit — each graph's bound must not
-            // exceed its true pivot share count.
-            for (g, bound) in par_bounds.iter().enumerate() {
-                let share = sequential[g].as_ref().unwrap().share_count;
-                assert!(
-                    *bound as usize <= share,
-                    "threads={threads}: bound {bound} exceeds true share {share} of graph {g}"
+            // The reference: one `search` per graph, each reading the bounds
+            // as they stood at entry (as every search in one `search_many`
+            // call does), with the raises max-merged afterwards.
+            let mut seq_bounds = vec![1u32; prep.len()];
+            let sequential: Vec<Option<PivotResult>> = gids
+                .iter()
+                .map(|&g| {
+                    let mut bounds = vec![1u32; prep.len()];
+                    let result = searcher.search(g, 0, &active, &mut bounds);
+                    for (merged, raised) in seq_bounds.iter_mut().zip(bounds) {
+                        *merged = (*merged).max(raised);
+                    }
+                    result
+                })
+                .collect();
+            for threads in [1, 2, 4, 7] {
+                let ctx = format!("budget={budget} threads={threads}");
+                let mut par_bounds = vec![1u32; prep.len()];
+                let parallel = searcher.search_many(
+                    &gids,
+                    0,
+                    &active,
+                    &mut par_bounds,
+                    ec_graph::Parallelism::fixed(threads),
                 );
+                assert_eq!(par_bounds, seq_bounds, "{ctx}");
+                assert_eq!(parallel.len(), sequential.len());
+                for (a, b) in sequential.iter().zip(&parallel) {
+                    let a = a.as_ref().unwrap();
+                    let b = b.as_ref().unwrap();
+                    assert_eq!(a.path, b.path, "{ctx}");
+                    assert_eq!(a.list, b.list, "{ctx}");
+                    assert_eq!(a.share_count, b.share_count, "{ctx}");
+                    assert_eq!(a.complete, b.complete, "{ctx}");
+                }
+            }
+            if budget != UNBOUND {
+                continue;
+            }
+            // Finished searches find the true pivots, so cumulative bounds
+            // (stronger pruning) change no result, and no bound exceeds its
+            // graph's true pivot share count.
+            let mut cumulative = vec![1u32; prep.len()];
+            for (g, expected) in gids.iter().zip(&sequential) {
+                let expected = expected.as_ref().unwrap();
+                let result = searcher.search(*g, 0, &active, &mut cumulative).unwrap();
+                assert_eq!(result.path, expected.path, "graph {g:?}");
+                assert_eq!(result.share_count, expected.share_count, "graph {g:?}");
+            }
+            for bounds in [&seq_bounds, &cumulative] {
+                for (g, (bound, result)) in bounds.iter().zip(&sequential).enumerate() {
+                    let share = result.as_ref().unwrap().share_count;
+                    assert!(
+                        *bound as usize <= share,
+                        "bound {bound} exceeds true share {share} of graph {g}"
+                    );
+                }
             }
         }
     }
 
-    /// A workload with several interacting transformation families, reused by
-    /// the engine-equivalence tests below.
+    /// A workload with several interacting transformation families.
     fn family_replacements() -> Vec<Replacement> {
         let mut reps = Vec::new();
         for (last, first) in [
@@ -1395,22 +1149,10 @@ mod tests {
     ) -> (Option<PivotResult>, usize) {
         let mut raised = BoundRaises::default();
         let own_bound = lower_bounds[g.index()];
-        let active: Arc<[bool]> = active.into();
         let searched =
-            searcher.search_with_bounds(g, threshold, &active, own_bound, &mut raised, explore);
+            searcher.search_with_bounds(g, threshold, active, own_bound, &mut raised, explore);
         raised.merge_into(lower_bounds);
         searched
-    }
-
-    /// [`PivotSearcher::search`] at threshold 0 through the plain recursive
-    /// DFS: the frontier engine's oracle.
-    fn search_plain_dfs(
-        searcher: &PivotSearcher,
-        g: GraphId,
-        active: &[bool],
-        lower_bounds: &mut [u32],
-    ) -> Option<PivotResult> {
-        search_explored(searcher, g, 0, active, lower_bounds, Explore::PlainDfs).0
     }
 
     /// One cluster, many variants: every ordered pair of distinct spellings
@@ -1503,41 +1245,10 @@ mod tests {
     }
 
     #[test]
-    fn frontier_engine_matches_the_plain_dfs_when_the_budget_is_unbound() {
-        // With a step budget the search never exhausts, the frontier engine
-        // must reproduce the recursive DFS exactly: pruning is sound in both,
-        // and the engine's in-order reduction preserves the DFS's tie-breaks.
-        let reps = family_replacements();
-        // The default 50k-step budget binds on this label-rich workload, and
-        // a bound budget is exactly where the two strategies may legitimately
-        // differ (shared pot vs per-task slices) — so lift it out of the way.
-        let engine_config = GroupingConfig {
-            max_search_steps: 100_000_000,
-            ..GroupingConfig::default()
-        };
-        let prep = prepared(&reps, &engine_config);
-        let searcher = PivotSearcher::new(Arc::clone(&prep), &engine_config);
-        let active = vec![true; reps.len()];
-        let mut bounds_engine = vec![1u32; reps.len()];
-        let mut bounds_dfs = vec![1u32; reps.len()];
-        for g in 0..reps.len() {
-            let a = searcher
-                .search(GraphId(g as u32), 0, &active, &mut bounds_engine)
-                .unwrap();
-            let b =
-                search_plain_dfs(&searcher, GraphId(g as u32), &active, &mut bounds_dfs).unwrap();
-            assert_eq!(a.path, b.path, "graph {g}");
-            assert_eq!(a.share_count, b.share_count, "graph {g}");
-            assert_eq!(a.complete, b.complete, "graph {g}");
-            assert_eq!(a.list, b.list, "graph {g}");
-        }
-    }
-
-    #[test]
-    fn frontier_waves_are_scheduling_independent_even_when_the_budget_binds() {
-        // A starved budget truncates every subtree task at its private slice;
-        // whether the wave runs inline (1 thread) or on the pool (more
-        // workers than graphs searched) must not move the truncation points.
+    fn search_many_on_one_graph_is_thread_independent_when_the_budget_binds() {
+        // A starved budget truncates most searches; searching one graph per
+        // call with more workers than graphs must not move the truncation
+        // points.
         let reps = family_replacements();
         let config = GroupingConfig {
             max_search_steps: 25,
@@ -1550,8 +1261,7 @@ mod tests {
             let mut bounds = vec![1u32; prep.len()];
             let results: Vec<Option<PivotResult>> = (0..prep.len())
                 .flat_map(|g| {
-                    // One graph per call, so threads > gids.len() engages the
-                    // parallel wave scheduling inside each search.
+                    // One graph per call, so threads > gids.len().
                     searcher.search_many(
                         &[GraphId(g as u32)],
                         0,

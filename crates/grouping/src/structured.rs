@@ -210,27 +210,10 @@ impl StructuredGrouper {
     /// runs [`OneShotGrouper`] per partition, and returns all groups sorted by
     /// size. Used by the `OneShot`/`EarlyTerm` timing comparison of Figure 9.
     pub fn one_shot_all(replacements: &[Replacement], config: GroupingConfig) -> Vec<Group> {
-        let mut groups = Vec::new();
-        if config.structure_refinement {
-            let mut by_structure: HashMap<ReplacementStructure, Vec<Replacement>> = HashMap::new();
-            for r in replacements {
-                by_structure
-                    .entry(replacement_structure(r.lhs(), r.rhs()))
-                    .or_default()
-                    .push(r.clone());
-            }
-            let mut parts: Vec<Vec<Replacement>> = by_structure.into_values().collect();
-            parts.sort_by(|a, b| {
-                b.len()
-                    .cmp(&a.len())
-                    .then_with(|| a.first().cmp(&b.first()))
-            });
-            for part in parts {
-                groups.extend(OneShotGrouper::new(&part, config.clone()).group_all());
-            }
-        } else {
-            groups = OneShotGrouper::new(replacements, config).group_all();
-        }
+        let mut groups: Vec<Group> = partition_replacements(replacements, &config)
+            .iter()
+            .flat_map(|part| OneShotGrouper::new(part, config.clone()).group_all())
+            .collect();
         sort_groups(&mut groups);
         groups
     }

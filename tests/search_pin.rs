@@ -2,13 +2,14 @@
 //! changes.
 //!
 //! The determinism suites compare thread counts of one build, and the
-//! frontier-vs-DFS oracle lifts the step budget on purpose, so neither would
-//! notice a kernel rewrite that moved where the default 50k-step budget cuts
-//! a search off. This suite drains a [`StructuredGrouper`] at the default
-//! [`GroupingConfig`] over seeded Address and AuthorList candidates — the
-//! budget binds on Address — and asserts two constants recorded before the
-//! search kernel was last rewritten: a digest of every emitted group and the
-//! step histogram's count/sum deltas over the drain.
+//! arena-vs-`PathList` DFS oracle compares two kernels of one build, so
+//! neither would notice a rewrite that moved where the default 50k-step
+//! budget cuts a search off. This suite drains a [`StructuredGrouper`] at the
+//! default [`GroupingConfig`] over seeded Address and AuthorList candidates —
+//! the budget binds on Address — and asserts constants recorded from the
+//! plain one-DFS-per-search kernel: a digest of every emitted group and the
+//! step histogram's count/sum deltas over the drain. A change to step
+//! accounting or extension order moves them; re-record them deliberately.
 //!
 //! The metrics registry is process-global, so this binary holds exactly one
 //! test: no other search may run while the deltas are measured.
@@ -91,12 +92,14 @@ fn default_budget_groups_and_step_counts_are_pinned() {
         exhausted_searches > 0,
         "the workload must make the default step budget bind"
     );
-    // Recorded at the parent of the allocation-free search kernel.
+    // Recorded from the one-DFS-per-search kernel (a single sequential step
+    // budget per search, extending the root's candidates in DFS order).
     assert_eq!(
         format!("{digest:016x}"),
-        "2a722e991bc2a4c0",
+        "c51b8eb4f320356e",
         "{groups} groups"
     );
-    assert_eq!((searches, total_steps), (1_747, 4_871_587));
-    assert_eq!(exhausted_searches, 84);
+    assert_eq!(groups, 609);
+    assert_eq!((searches, total_steps), (1_747, 4_880_578));
+    assert_eq!(exhausted_searches, 87);
 }
