@@ -3,7 +3,7 @@
 //! dataset that goes through encode → (mmap-style aligned) decode must
 //! behave *identically* to the freshly built state — same candidate sets,
 //! same partitions, and an inverted index whose every probe (`list`,
-//! `list_graph_count`, chained `extend` walks) matches the fresh one.
+//! `list_graph_count`, chained `extend_into` walks) matches the fresh one.
 
 use ec_artifact::{encode_artifact, read_artifact, read_artifact_bytes, write_artifact};
 use ec_artifact::{ArtifactError, MAGIC, VERSION};
@@ -13,7 +13,7 @@ use ec_core::{
 };
 use ec_data::{Cell, Cluster, Dataset, GeneratorConfig, PaperDataset, Row};
 use ec_graph::LabelId;
-use ec_index::PathList;
+use ec_index::{GraphId, PathOccurrence};
 use proptest::prelude::*;
 
 fn compiled_address(clusters: usize, seed: u64) -> CompiledDataset {
@@ -218,7 +218,7 @@ fn dataset_from_values(values: &[Vec<String>]) -> Dataset {
 
 proptest! {
     /// compile → encode → decode round trip: the loaded index answers every
-    /// probe and `extend` walk identically to the freshly built one, on
+    /// probe and `extend_into` walk identically to the freshly built one, on
     /// arbitrary datasets.
     #[test]
     fn round_tripped_index_probes_match_the_fresh_build(
@@ -246,12 +246,17 @@ proptest! {
                 if fp.prepared.interner().is_empty() {
                     continue;
                 }
-                let mut fast = PathList::universe(graphs);
-                let mut slow = PathList::universe(graphs);
+                let mut fast: Vec<PathOccurrence> = (0..graphs)
+                    .map(|g| PathOccurrence { graph: GraphId(g as u32), end: 0 })
+                    .collect();
+                let mut slow = fast.clone();
+                let mut buf = Vec::new();
                 for &pick in &picks {
                     let label = LabelId((pick % fp.prepared.interner().len()) as u32);
-                    fast = fi.extend(&fast, label);
-                    slow = li.extend(&slow, label);
+                    fi.extend_into(&fast, label, &mut buf);
+                    std::mem::swap(&mut fast, &mut buf);
+                    li.extend_into(&slow, label, &mut buf);
+                    std::mem::swap(&mut slow, &mut buf);
                     prop_assert_eq!(&fast, &slow);
                     if fast.is_empty() {
                         break;

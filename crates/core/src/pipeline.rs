@@ -42,7 +42,7 @@ impl Default for ConsolidationConfig {
 }
 
 impl ConsolidationConfig {
-    /// Sets one [`Parallelism`] on both sharded stages — candidate generation
+    /// Sets one [`Parallelism`](ec_grouping::Parallelism) on both sharded stages — candidate generation
     /// and pivot-path grouping. The pipeline's output is bit-identical for
     /// every setting; only the wall-clock time changes.
     pub fn with_parallelism(mut self, parallelism: ec_grouping::Parallelism) -> Self {

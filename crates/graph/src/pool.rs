@@ -7,9 +7,11 @@
 //! for every speculative batch of every request. [`WorkerPool`] keeps a fixed
 //! set of long-lived workers instead:
 //!
-//! * an **injected queue** receives jobs submitted from outside the pool;
-//! * each worker owns a **deque** for jobs submitted *from* that worker
-//!   (nested fan-out), which idle workers **steal** from;
+//! * an **injected queue** receives jobs submitted from outside the pool,
+//!   and every detached job ([`WorkerPool::spawn_fifo`], how `ec serve`
+//!   hands out connections) wherever it is submitted from;
+//! * each worker owns a **deque** for batch tasks submitted *from* that
+//!   worker (nested fan-out), which idle workers **steal** from;
 //! * jobs are **panic-isolated**: a panicking job never kills its worker —
 //!   batch panics are captured and re-raised in the submitting thread,
 //!   detached-job panics are counted and dropped.
@@ -304,23 +306,13 @@ impl WorkerPool {
         self.shared.worker_queues.len()
     }
 
-    /// Submits a detached job. A panicking job is swallowed (the worker
-    /// survives) and counted in [`WorkerPool::detached_panics`].
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let shared = Arc::clone(&self.shared);
-        self.shared.push(Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                shared.detached_panics.fetch_add(1, Ordering::Relaxed);
-            }
-        }));
-    }
-
     /// Submits a detached job that always joins the back of the shared
-    /// FIFO injector, even from inside a pool worker. [`WorkerPool::spawn`]
-    /// prefers the calling worker's own LIFO deque — right for nested
-    /// batch work (locality), wrong for a job that re-queues itself to
-    /// *give up* the worker: LIFO would hand the worker straight back and
-    /// starve every other waiting job.
+    /// FIFO injector, even from inside a pool worker. The worker's own LIFO
+    /// deque is right for nested batch work (locality), wrong for a job
+    /// that re-queues itself to *give up* the worker: LIFO would hand the
+    /// worker straight back and starve every other waiting job. A panicking
+    /// job is swallowed (the worker survives) and counted in
+    /// [`WorkerPool::detached_panics`].
     pub fn spawn_fifo(&self, job: impl FnOnce() + Send + 'static) {
         let shared = Arc::clone(&self.shared);
         self.shared.push_injected(Box::new(move || {
@@ -557,7 +549,7 @@ mod tests {
     #[test]
     fn detached_panics_are_isolated_and_counted() {
         let pool = WorkerPool::new(1);
-        pool.spawn(|| panic!("detached job panicked"));
+        pool.spawn_fifo(|| panic!("detached job panicked"));
         // The job runs asynchronously; wait for the swallowed panic to land.
         for _ in 0..400 {
             if pool.detached_panics() == 1 {
@@ -595,8 +587,8 @@ mod tests {
     #[test]
     fn spawn_fifo_from_a_worker_queues_behind_the_injector() {
         // A job that re-submits itself to give up the worker must land
-        // *behind* jobs already waiting in the injector; `spawn` would put
-        // it on the worker's own LIFO deque and it would run first again.
+        // *behind* jobs already waiting in the injector; a push onto the
+        // worker's own LIFO deque would make it run first again.
         use std::sync::mpsc;
         let pool = Arc::new(WorkerPool::new(1));
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -607,7 +599,7 @@ mod tests {
             let pool = Arc::clone(&pool);
             let order = Arc::clone(&order);
             let done_tx = done_tx.clone();
-            pool.clone().spawn(move || {
+            pool.clone().spawn_fifo(move || {
                 started_tx.send(()).unwrap();
                 go_rx.recv().unwrap();
                 // The injector now holds "waiting"; a fair re-queue of
@@ -622,7 +614,7 @@ mod tests {
         started_rx.recv().unwrap();
         {
             let order = Arc::clone(&order);
-            pool.spawn(move || order.lock().unwrap().push("waiting"));
+            pool.spawn_fifo(move || order.lock().unwrap().push("waiting"));
         }
         go_tx.send(()).unwrap();
         done_rx.recv_timeout(Duration::from_secs(10)).unwrap();

@@ -34,36 +34,77 @@ impl PreparedGraphs {
     /// removed first; input order of first occurrence is preserved).
     pub fn build(replacements: &[Replacement], config: &GroupingConfig) -> Self {
         let _span = ec_obs::span!("grouping.prepared_build", replacements.len());
-        let mut unique: Vec<Replacement> = Vec::with_capacity(replacements.len());
-        {
-            let mut seen = std::collections::HashSet::new();
-            for r in replacements {
-                if seen.insert(r.clone()) {
-                    unique.push(r.clone());
-                }
-            }
-        }
-        let builder = GraphBuilder::new(config.graph.clone());
-        let mut interner = LabelInterner::new();
-        let mut graphs = Vec::with_capacity(unique.len());
-        let mut retained = Vec::with_capacity(unique.len());
-        let mut skipped = Vec::new();
+        let mut prepared = PreparedGraphs {
+            replacements: Vec::new(),
+            graphs: Vec::new(),
+            skipped: Vec::new(),
+            interner: LabelInterner::new(),
+            index: InvertedIndex::default(),
+        };
+        prepared.grow(replacements, config);
+        prepared
+    }
 
+    /// Grows the prepared state in place with `new_replacements` — the delta
+    /// ingest path's alternative to a full rebuild. Returns the number of new
+    /// graphs built.
+    ///
+    /// Replacements already present (built or skipped) are dropped, exactly as
+    /// [`PreparedGraphs::build`]'s up-front dedup would drop them, and the
+    /// survivors' postings are appended to the index via
+    /// [`InvertedIndex::append`], touching only the labels the new graphs
+    /// use. The grown state yields the same groups as
+    /// `PreparedGraphs::build(old ++ new, config)`, and the same index arrays
+    /// when neither side builds its graphs in parallel (more than one thread
+    /// and at least 64 fresh replacements), which interns labels in another
+    /// order.
+    pub fn append(&mut self, new_replacements: &[Replacement], config: &GroupingConfig) -> usize {
+        let _span = ec_obs::span!("grouping.prepared_append", new_replacements.len());
+        self.grow(new_replacements, config)
+    }
+
+    /// The one preparation routine behind [`PreparedGraphs::build`] (from the
+    /// empty state) and [`PreparedGraphs::append`]: dedupes `new_replacements`
+    /// against the state and among themselves, builds the survivors' graphs
+    /// and appends their postings to the index.
+    ///
+    /// With more than one thread and at least 64 fresh replacements, graphs
+    /// are built in chunks on the shared worker pool, each against a private
+    /// interner, and remapped into the shared interner in input order. Only
+    /// the labels on a graph's edges join the shared interner, in edge order
+    /// rather than build order, which changes the index arrays but not the
+    /// groups.
+    fn grow(&mut self, new_replacements: &[Replacement], config: &GroupingConfig) -> usize {
+        let fresh: Vec<Replacement> = {
+            let seen: std::collections::HashSet<&Replacement> = self
+                .replacements
+                .iter()
+                .chain(self.skipped.iter())
+                .collect();
+            let mut batch_seen = std::collections::HashSet::new();
+            new_replacements
+                .iter()
+                .filter(|r| !seen.contains(*r) && batch_seen.insert(*r))
+                .cloned()
+                .collect()
+        };
+        let base = self.graphs.len();
+        let mut new_graphs = Vec::with_capacity(fresh.len());
         let threads = config.parallelism.threads();
-        if threads > 1 && unique.len() >= 64 {
+        if threads > 1 && fresh.len() >= 64 {
             // Chunks run as `'static` tasks on the shared worker pool, so the
             // replacements move behind an `Arc` and each task gets an index
             // range instead of a borrowed slice.
-            let chunk_size = unique.len().div_ceil(threads);
-            let unique: std::sync::Arc<Vec<Replacement>> = std::sync::Arc::new(unique);
-            let tasks: Vec<ec_graph::PoolTask<BuiltChunk>> = (0..unique.len())
+            let chunk_size = fresh.len().div_ceil(threads);
+            let fresh: std::sync::Arc<Vec<Replacement>> = std::sync::Arc::new(fresh);
+            let tasks: Vec<ec_graph::PoolTask<BuiltChunk>> = (0..fresh.len())
                 .step_by(chunk_size)
                 .map(|start| {
-                    let unique = std::sync::Arc::clone(&unique);
+                    let fresh = std::sync::Arc::clone(&fresh);
                     let graph_config = config.graph.clone();
                     Box::new(move || {
                         let builder = GraphBuilder::new(graph_config);
-                        unique[start..(start + chunk_size).min(unique.len())]
+                        fresh[start..(start + chunk_size).min(fresh.len())]
                             .iter()
                             .map(|r| {
                                 let mut local = LabelInterner::new();
@@ -74,81 +115,32 @@ impl PreparedGraphs {
                     }) as ec_graph::PoolTask<BuiltChunk>
                 })
                 .collect();
-            let results: Vec<BuiltChunk> = config.parallelism.run_tasks(tasks);
-            for chunk in results {
-                for (r, built) in chunk {
-                    match built {
-                        Some((mut g, local)) => {
-                            g.remap_labels(|old| interner.intern(local.resolve(old).clone()));
-                            retained.push(r);
-                            graphs.push(g);
-                        }
-                        None => skipped.push(r),
+            for (r, built) in config.parallelism.run_tasks(tasks).into_iter().flatten() {
+                match built {
+                    Some((mut g, local)) => {
+                        // Interned on first use: one clone per distinct label.
+                        let mut ids: Vec<Option<LabelId>> = vec![None; local.len()];
+                        g.remap_labels(|old| {
+                            *ids[old.index()].get_or_insert_with(|| {
+                                self.interner.intern(local.resolve(old).clone())
+                            })
+                        });
+                        self.replacements.push(r);
+                        new_graphs.push(g);
                     }
+                    None => self.skipped.push(r),
                 }
             }
         } else {
-            for r in &unique {
-                match builder.build(r, &mut interner) {
+            let builder = GraphBuilder::new(config.graph.clone());
+            for r in fresh {
+                match builder.build(&r, &mut self.interner) {
                     Some(g) => {
-                        retained.push(r.clone());
-                        graphs.push(g);
+                        self.replacements.push(r);
+                        new_graphs.push(g);
                     }
-                    None => skipped.push(r.clone()),
+                    None => self.skipped.push(r),
                 }
-            }
-        }
-
-        let index = InvertedIndex::build(&graphs, interner.len());
-        PreparedGraphs {
-            replacements: retained,
-            graphs,
-            skipped,
-            interner,
-            index,
-        }
-    }
-
-    /// Grows the prepared state in place with `new_replacements` — the delta
-    /// ingest path's alternative to a full rebuild.
-    ///
-    /// Replacements already present (built or skipped) are dropped, exactly as
-    /// [`PreparedGraphs::build`]'s up-front dedup would drop them; the
-    /// survivors' graphs are built sequentially against the *shared* interner
-    /// (so labels keep interning in first-occurrence order, as a sequential
-    /// build over the concatenated input would) and their postings are
-    /// appended to the index via [`InvertedIndex::append`], touching only the
-    /// labels the new graphs use. The result is equivalent to
-    /// `PreparedGraphs::build(old ++ new, config)`. Returns the number of new
-    /// graphs built.
-    pub fn append(&mut self, new_replacements: &[Replacement], config: &GroupingConfig) -> usize {
-        let _span = ec_obs::span!("grouping.prepared_append", new_replacements.len());
-        let fresh: Vec<Replacement> = {
-            let seen: std::collections::HashSet<&Replacement> = self
-                .replacements
-                .iter()
-                .chain(self.skipped.iter())
-                .collect();
-            let mut batch_seen = std::collections::HashSet::new();
-            new_replacements
-                .iter()
-                .filter(|r| !seen.contains(*r) && batch_seen.insert((*r).clone()))
-                .cloned()
-                .collect()
-        };
-        if fresh.is_empty() {
-            return 0;
-        }
-        let builder = GraphBuilder::new(config.graph.clone());
-        let base = self.graphs.len();
-        let mut new_graphs = Vec::new();
-        for r in fresh {
-            match builder.build(&r, &mut self.interner) {
-                Some(g) => {
-                    self.replacements.push(r);
-                    new_graphs.push(g);
-                }
-                None => self.skipped.push(r),
             }
         }
         let built = new_graphs.len();
@@ -401,6 +393,86 @@ mod tests {
                 let gid = GraphId(g as u32);
                 assert_eq!(grown.upper_bound(gid), full.upper_bound(gid));
             }
+        }
+    }
+
+    #[test]
+    fn empty_and_all_skipped_preparations_hold_the_empty_index() {
+        let all_skipped = GroupingConfig {
+            graph: ec_graph::GraphConfig {
+                max_output_len: Some(4),
+                ..ec_graph::GraphConfig::default()
+            },
+            ..GroupingConfig::default()
+        };
+        let empty = InvertedIndex::build(&[], 0);
+        for prepared in [
+            PreparedGraphs::build(&[], &GroupingConfig::default()),
+            PreparedGraphs::build(&reps(), &all_skipped),
+        ] {
+            assert!(prepared.is_empty());
+            let (postings, offsets, counts) = prepared.index().raw_parts();
+            assert_eq!((postings, offsets, counts), empty.raw_parts());
+            // The artifact load path must accept what `ec compile` writes.
+            let index = InvertedIndex::from_parts(
+                postings.to_vec().into(),
+                offsets.to_vec().into(),
+                counts.to_vec().into(),
+            )
+            .expect("the empty layout validates");
+            assert!(PreparedGraphs::from_parts(
+                Vec::new(),
+                Vec::new(),
+                prepared.skipped().to_vec(),
+                prepared.interner().clone(),
+                index,
+            )
+            .is_some());
+        }
+    }
+
+    #[test]
+    fn chunked_append_groups_like_a_fresh_build() {
+        // Two transformation families, so the grouper has real choices.
+        let mut many = Vec::new();
+        for i in 0..60 {
+            many.push(Replacement::new(
+                format!("value {i} alpha"),
+                format!("alpha value {i}"),
+            ));
+            many.push(Replacement::new(
+                format!("Last{i}, Anna"),
+                format!("A. Last{i}"),
+            ));
+        }
+        many.push(Replacement::new("value 3 alpha", "alpha value 3"));
+        let chunked = GroupingConfig {
+            parallelism: Parallelism::fixed(4),
+            ..GroupingConfig::default()
+        };
+        let groups = |prepared: PreparedGraphs| {
+            let parts = vec![(many.clone(), std::sync::Arc::new(prepared))];
+            crate::StructuredGrouper::from_compiled(parts, chunked.clone()).all_groups()
+        };
+        let sequential = GroupingConfig {
+            parallelism: Parallelism::fixed(1),
+            ..GroupingConfig::default()
+        };
+        let full = PreparedGraphs::build(&many, &sequential);
+        let fresh = groups(full.clone());
+        assert!(fresh.iter().any(|g| g.size() > 1));
+        assert_eq!(groups(PreparedGraphs::build(&many, &chunked)), fresh);
+        for split in [0usize, 20, 50] {
+            let mut grown = PreparedGraphs::build(&many[..split], &chunked);
+            // At least 64 fresh replacements (the last one is a duplicate)
+            // at 4 threads: the chunked branch.
+            let appended = many.len() - 1 - split;
+            assert!(appended >= 64, "split={split}");
+            grown.append(&many[split..], &chunked);
+            // Chunked and sequential preparation intern labels in different
+            // orders, so the index arrays may differ; the groups may not.
+            assert_eq!(grown.replacements(), full.replacements(), "split={split}");
+            assert_eq!(groups(grown), fresh, "split={split}");
         }
     }
 

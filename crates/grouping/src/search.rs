@@ -37,19 +37,19 @@
 //! each label's postings into a reused scratch buffer
 //! ([`InvertedIndex::extend_into`]), appends every viable candidate's list to
 //! the arena's tail as a `Range`, and truncates the arena back to its base on
-//! return. Once the buffers have grown, a step allocates nothing; a list
-//! becomes a [`PathList`] only when it is accepted as a new best. Most steps
+//! return. Once the buffers have grown, a step allocates nothing; a list is
+//! copied out of the arena only when it is accepted as a new best. Most steps
 //! are spent in budget-exhausted searches over small partitions whose lists
 //! hold a few dozen occurrences, where an allocation per step would cost more
-//! than the intersection itself. The former `PathList`-per-step DFS is kept
-//! under `#[cfg(test)]` as the kernel's oracle: same steps, same results, at
-//! every budget.
+//! than the intersection itself. A DFS that allocates a fresh list per step
+//! is kept under `#[cfg(test)]` as the kernel's oracle: same steps, same
+//! results, at every budget.
 
 use crate::config::GroupingConfig;
 use crate::prepared::PreparedGraphs;
 use ec_dsl::StringFn;
 use ec_graph::{LabelId, PoolTask};
-use ec_index::{GraphId, InvertedIndex, PathList, PathOccurrence};
+use ec_index::{GraphId, InvertedIndex, PathOccurrence};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -83,8 +83,6 @@ fn search_metrics() -> &'static SearchMetrics {
 pub struct PivotResult {
     /// The pivot path (sequence of labels).
     pub path: Vec<LabelId>,
-    /// Graphs containing the path anchored at their first node.
-    pub list: PathList,
     /// Graphs for which the path is a *complete* transformation path (reaches
     /// their last node) and which are still active; these are the graphs that
     /// may join the group keyed by this path.
@@ -144,7 +142,7 @@ struct SearchState<'a> {
     /// Best complete path found so far: `(path, list, share count,
     /// quality)`. Its `(share count, quality)` is the acceptance bar every
     /// new complete path must beat.
-    best: Option<(Vec<LabelId>, PathList, usize, Quality)>,
+    best: Option<(Vec<LabelId>, Vec<PathOccurrence>, usize, Quality)>,
     threshold: usize,
 }
 
@@ -155,7 +153,7 @@ impl SearchState<'_> {
         &mut self,
         count: usize,
         quality: Quality,
-        make: impl FnOnce() -> (Vec<LabelId>, PathList),
+        make: impl FnOnce() -> (Vec<LabelId>, Vec<PathOccurrence>),
     ) {
         if count <= self.threshold || !self.beats_best(count, quality) {
             return;
@@ -282,7 +280,7 @@ impl BoundRaises {
 enum Explore {
     /// The production kernel: one recursive DFS over the [`Arena`].
     ArenaDfs,
-    /// One recursive DFS over [`PathList`]s, one allocated list per step:
+    /// One recursive DFS that allocates a fresh occurrence list per step:
     /// the arena kernel's oracle.
     #[cfg(test)]
     PlainDfs,
@@ -307,8 +305,8 @@ struct Candidate {
 /// node appends its viable candidates (and their occurrence lists) at the
 /// tails and truncates both back to their bases on return, so a parent's
 /// candidates stay valid while its children run. Once the buffers have grown
-/// to the deepest path's needs, a step allocates nothing: a list only becomes
-/// a [`PathList`] when [`SearchState::offer`] accepts a new best.
+/// to the deepest path's needs, a step allocates nothing: a list is only
+/// copied out when [`SearchState::offer`] accepts a new best.
 #[derive(Default)]
 struct Arena {
     /// Occurrence lists of the candidates on the current DFS path.
@@ -437,7 +435,7 @@ impl PivotSearcher {
                     constant_chars: state.constant_chars[label.index()],
                     len: 1,
                 };
-                state.offer(count, quality, || (vec![label], path_list(&arena.scratch)));
+                state.offer(count, quality, || (vec![label], arena.scratch.clone()));
             }
         }
 
@@ -451,8 +449,7 @@ impl PivotSearcher {
                 }
                 #[cfg(test)]
                 Explore::PlainDfs => {
-                    let universe = PathList::universe(self.prepared.len());
-                    tests::list_dfs(graph, g, 0, &mut Vec::new(), &universe, 0, &mut state);
+                    tests::list_dfs(graph, g, 0, &mut Vec::new(), &arena.occs, 0, &mut state);
                 }
             }
         }
@@ -466,7 +463,6 @@ impl PivotSearcher {
             return (None, steps_used);
         };
         let mut complete: Vec<GraphId> = list
-            .occurrences()
             .iter()
             .filter(|occ| {
                 active[occ.graph.index()] && occ.end == self.last_nodes[occ.graph.index()]
@@ -476,7 +472,6 @@ impl PivotSearcher {
         complete.dedup();
         let result = PivotResult {
             path,
-            list,
             complete,
             share_count: count,
         };
@@ -490,7 +485,7 @@ impl PivotSearcher {
     /// construction**: every search in the call reads only its searched
     /// graph's bound as snapshotted at entry (plus the raises produced by its
     /// own complete paths), and all raises are collected into write-only
-    /// [`BoundRaises`] update lists merged into `lower_bounds` by
+    /// `BoundRaises` update lists merged into `lower_bounds` by
     /// element-wise maximum after the searches finish. A search's pruning
     /// inputs therefore never depend on how the graphs are chunked across
     /// workers — which also keeps results identical when
@@ -613,11 +608,6 @@ fn active_count(occs: &[PathOccurrence], active: &[bool]) -> usize {
     count
 }
 
-/// An owned [`PathList`] copy of an arena list.
-fn path_list(occs: &[PathOccurrence]) -> PathList {
-    PathList::from_occurrences(occs.to_vec())
-}
-
 /// The DFS's candidate step: appends the viable extensions of `node` (whose
 /// path so far has the arena list `list`) to the arena's candidate stack,
 /// sorted into exploration order — decreasing share count (ties: longer
@@ -704,7 +694,7 @@ fn collect_candidates(
 
 /// The production DFS below `node`, whose path so far has the arena list
 /// `list`. Every step runs in `arena`; nothing is allocated once its buffers
-/// have grown, except the [`PathList`] of an accepted best path.
+/// have grown, except the list copied out for an accepted best path.
 #[allow(clippy::too_many_arguments)]
 fn dfs(
     graph: &ec_graph::TransformationGraph,
@@ -724,7 +714,7 @@ fn dfs(
             constant_chars: const_chars,
             len: path.len(),
         };
-        state.offer(count, quality, || (path.clone(), path_list(occs)));
+        state.offer(count, quality, || (path.clone(), occs.to_vec()));
         if state.early_termination {
             state.raise_bounds(g, occs, count);
         }
@@ -982,7 +972,6 @@ mod tests {
                     let a = a.as_ref().unwrap();
                     let b = b.as_ref().unwrap();
                     assert_eq!(a.path, b.path, "{ctx}");
-                    assert_eq!(a.list, b.list, "{ctx}");
                     assert_eq!(a.share_count, b.share_count, "{ctx}");
                     assert_eq!(a.complete, b.complete, "{ctx}");
                 }
@@ -1036,18 +1025,17 @@ mod tests {
         reps
     }
 
-    /// One viable extension for the [`PathList`] oracle: `(label, target
-    /// node, extended list, active share count, constant chars including the
-    /// label)`.
-    type ListCandidate = (LabelId, u32, PathList, usize, usize);
+    /// One viable extension for the oracle: `(label, target node, extended
+    /// list, active share count, constant chars including the label)`.
+    type ListCandidate = (LabelId, u32, Vec<PathOccurrence>, usize, usize);
 
-    /// The oracle's candidate step: [`collect_candidates`] with one allocated
-    /// [`PathList`] per intersection, returned as an owned vector (`None`
+    /// The oracle's candidate step: [`collect_candidates`] with one freshly
+    /// allocated list per intersection, returned as an owned vector (`None`
     /// when the budget ran out mid-collection).
     fn list_candidates(
         graph: &ec_graph::TransformationGraph,
         node: u32,
-        list: &PathList,
+        list: &[PathOccurrence],
         path_len: usize,
         const_chars: usize,
         state: &mut SearchState<'_>,
@@ -1071,11 +1059,12 @@ mod tests {
                     return None;
                 }
                 state.steps_left -= 1;
-                let extended = state.index.extend(list, label);
+                let mut extended = Vec::new();
+                state.index.extend_into(list, label, &mut extended);
                 if extended.is_empty() {
                     continue;
                 }
-                let count = active_count(extended.occurrences(), state.active);
+                let count = active_count(&extended, state.active);
                 if count == 0 {
                     continue;
                 }
@@ -1094,26 +1083,26 @@ mod tests {
         Some(candidates)
     }
 
-    /// The oracle DFS: [`dfs`] over owned [`PathList`]s, the search kernel
+    /// The oracle DFS: [`dfs`] over owned per-step lists, the search kernel
     /// as it was before the arena. Run through [`Explore::PlainDfs`].
     pub(super) fn list_dfs(
         graph: &ec_graph::TransformationGraph,
         g: GraphId,
         node: u32,
         path: &mut Vec<LabelId>,
-        list: &PathList,
+        list: &[PathOccurrence],
         const_chars: usize,
         state: &mut SearchState<'_>,
     ) {
         if node == graph.last_node() {
-            let count = active_count(list.occurrences(), state.active);
+            let count = active_count(list, state.active);
             let quality = Quality {
                 constant_chars: const_chars,
                 len: path.len(),
             };
-            state.offer(count, quality, || (path.clone(), list.clone()));
+            state.offer(count, quality, || (path.clone(), list.to_vec()));
             if state.early_termination {
-                state.raise_bounds(g, list.occurrences(), count);
+                state.raise_bounds(g, list, count);
             }
             return;
         }
@@ -1180,7 +1169,7 @@ mod tests {
     }
 
     /// Searches every graph of `reps` through the arena DFS and through the
-    /// [`PathList`] oracle DFS, each with its own cumulative lower bounds,
+    /// per-step-list oracle DFS, each with its own cumulative lower bounds,
     /// and asserts equal results, equal steps and equal merged bounds after
     /// every search.
     fn assert_arena_dfs_matches_the_list_dfs(reps: &[Replacement], budget: usize) {
@@ -1220,7 +1209,6 @@ mod tests {
                     (None, None) => {}
                     (Some(a), Some(b)) => {
                         assert_eq!(a.path, b.path, "{ctx}");
-                        assert_eq!(a.list, b.list, "{ctx}");
                         assert_eq!(a.complete, b.complete, "{ctx}");
                         assert_eq!(a.share_count, b.share_count, "{ctx}");
                     }
@@ -1285,7 +1273,6 @@ mod tests {
                         assert_eq!(a.path, b.path, "threads={threads}");
                         assert_eq!(a.share_count, b.share_count, "threads={threads}");
                         assert_eq!(a.complete, b.complete, "threads={threads}");
-                        assert_eq!(a.list, b.list, "threads={threads}");
                     }
                     _ => panic!("presence differs at {threads} threads"),
                 }

@@ -7,29 +7,27 @@
 //! the edge endpoints, so that intersecting two lists can require the edges to
 //! be **adjacent** (the end node of one is the start node of the next).
 //!
-//! This crate provides that index ([`InvertedIndex`]) and the path-occurrence
-//! lists it produces ([`PathList`]). A [`PathList`] tracks, for every graph
-//! that contains the current path anchored at its first node, the node the
-//! path has reached; extending the path by a label is a single
-//! [`InvertedIndex::extend`] call, or [`InvertedIndex::extend_into`] to
-//! write the extended list into a reused buffer without allocating.
+//! This crate provides that index ([`InvertedIndex`]). A path's occurrence
+//! list (the paper's `ℓ`) is a sorted, deduplicated slice of
+//! [`PathOccurrence`]s: for every graph that contains the path anchored at
+//! its first node, the node the path has reached. Extending the path by a
+//! label is one [`InvertedIndex::extend_into`] call, which writes the
+//! extended list into a caller-owned buffer without allocating.
 //!
 //! ## Layout
 //!
 //! The index stores all postings in one flat **CSR** (compressed sparse row)
 //! arena: `label_offsets[l]..label_offsets[l + 1]` delimits the postings of
-//! label `l`, sorted by `(graph, from, to)`. [`InvertedIndex::extend`] walks
-//! an occurrence list and a posting list graph-by-graph, **galloping** over
-//! whichever side is ahead, so intersecting a short list against a long one
-//! costs `O(short × log(long))` instead of a linear scan of both. Per-label
-//! distinct-graph counts are precomputed at build time, making the search's
+//! label `l`, sorted by `(graph, from, to)`. [`InvertedIndex::extend_into`]
+//! walks an occurrence list and a posting list graph-by-graph, **galloping**
+//! over whichever side is ahead, so intersecting a short list against a long
+//! one costs `O(short × log(long))` instead of a linear scan of both.
+//! Per-label distinct-graph counts are precomputed, making the search's
 //! hottest pruning probe ([`InvertedIndex::list_graph_count`]) O(1).
 //!
-//! A [`PathList`] is a range view over an `Arc`-shared occurrence arena:
-//! cloning one is a reference-count bump, and [`PathList::slice_graphs`]
-//! splits a list by graph range without copying occurrences. The pivot
-//! search keeps its working lists in its own buffers and builds a
-//! [`PathList`] only for a result or a task it hands to another thread.
+//! There is one way to fill the arena: [`InvertedIndex::append`] adds the
+//! postings of graphs whose ids continue the existing numbering, and
+//! [`InvertedIndex::build`] is an append onto the empty index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -169,156 +167,12 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SharedSlice<T> {
     }
 }
 
-/// The list of graphs containing the current path (the paper's `ℓ`).
-///
-/// Occurrences are kept sorted by `(graph, end)` and deduplicated. A graph may
-/// appear with several `end` nodes when multi-valued (affix) labels allow the
-/// same label sequence to cover different spans of the output string; the
-/// *graph count* [`PathList::graph_count`] — what the paper calls `|ℓ|` — is
-/// the number of distinct graphs.
-///
-/// The list is a `start..end` view over an `Arc`-shared occurrence arena:
-/// [`Clone`] is a reference-count bump and [`PathList::slice_graphs`]
-/// produces a graph-range sub-view without copying, so search subproblems can
-/// carry (and snapshot) lists for free.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PathList {
-    backing: SharedSlice<PathOccurrence>,
-    start: usize,
-    end: usize,
-}
-
-impl PartialEq for PathList {
-    fn eq(&self, other: &Self) -> bool {
-        self.occurrences() == other.occurrences()
-    }
-}
-
-impl Eq for PathList {}
-
-impl PathList {
-    /// The list for the empty path over `num_graphs` graphs: every graph
-    /// contains the empty path, anchored at its first node (node 0).
-    pub fn universe(num_graphs: usize) -> Self {
-        PathList::from_sorted(
-            (0..num_graphs)
-                .map(|g| PathOccurrence {
-                    graph: GraphId(g as u32),
-                    end: 0,
-                })
-                .collect(),
-        )
-    }
-
-    /// Builds a list from raw occurrences (sorted and deduplicated).
-    pub fn from_occurrences(mut occurrences: Vec<PathOccurrence>) -> Self {
-        occurrences.sort();
-        occurrences.dedup();
-        PathList::from_sorted(occurrences)
-    }
-
-    /// Wraps occurrences that are already sorted by `(graph, end)` and
-    /// deduplicated.
-    fn from_sorted(occurrences: Vec<PathOccurrence>) -> Self {
-        if occurrences.is_empty() {
-            // `Arc<[T]>::default()` is a shared static — dead-end extends
-            // (the search's common case) allocate nothing.
-            return PathList::default();
-        }
-        let backing = SharedSlice::from(occurrences);
-        PathList {
-            start: 0,
-            end: backing.len(),
-            backing,
-        }
-    }
-
-    /// Wraps occurrences held in external (e.g. memory-mapped) backing. The
-    /// caller asserts they are sorted by `(graph, end)` and deduplicated;
-    /// returns `None` when they are not, so a corrupt artifact is rejected
-    /// instead of silently misread.
-    pub fn from_backing(backing: SharedSlice<PathOccurrence>) -> Option<Self> {
-        if backing.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        let end = backing.len();
-        Some(PathList {
-            backing,
-            start: 0,
-            end,
-        })
-    }
-
-    /// The occurrences, sorted by `(graph, end)`.
-    pub fn occurrences(&self) -> &[PathOccurrence] {
-        &self.backing[self.start..self.end]
-    }
-
-    /// The sub-list of occurrences whose graph id lies in `graphs` — a range
-    /// view sharing this list's arena (no occurrences are copied).
-    pub fn slice_graphs(&self, graphs: std::ops::Range<u32>) -> PathList {
-        let occs = self.occurrences();
-        let lo = occs.partition_point(|occ| occ.graph.0 < graphs.start);
-        let hi = lo + occs[lo..].partition_point(|occ| occ.graph.0 < graphs.end);
-        PathList {
-            backing: self.backing.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
-    }
-
-    /// Number of distinct graphs containing the path — the paper's `|ℓ|`.
-    pub fn graph_count(&self) -> usize {
-        let mut count = 0;
-        let mut last: Option<GraphId> = None;
-        for occ in self.occurrences() {
-            if last != Some(occ.graph) {
-                count += 1;
-                last = Some(occ.graph);
-            }
-        }
-        count
-    }
-
-    /// Iterates over the distinct graphs in the list.
-    pub fn graphs(&self) -> impl Iterator<Item = GraphId> + '_ {
-        let mut last: Option<GraphId> = None;
-        self.occurrences().iter().filter_map(move |occ| {
-            if last == Some(occ.graph) {
-                None
-            } else {
-                last = Some(occ.graph);
-                Some(occ.graph)
-            }
-        })
-    }
-
-    /// The distinct graphs whose occurrence ends exactly at `last_node(graph)`
-    /// — i.e. the graphs for which the current path is a complete
-    /// transformation path.
-    pub fn complete_graphs(&self, last_node: impl Fn(GraphId) -> u32) -> Vec<GraphId> {
-        let mut out: Vec<GraphId> = self
-            .occurrences()
-            .iter()
-            .filter(|occ| occ.end == last_node(occ.graph))
-            .map(|occ| occ.graph)
-            .collect();
-        out.dedup();
-        out
-    }
-
-    /// True when no graph contains the path.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// The inverted index over edge labels of a set of transformation graphs.
 ///
 /// Postings live in one flat CSR arena: the postings of label `l` occupy
 /// `postings[label_offsets[l]..label_offsets[l + 1]]`, sorted by
 /// `(graph, from, to)`; per-label distinct-graph counts are precomputed.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InvertedIndex {
     /// All postings, grouped by label, each label's range sorted.
     postings: SharedSlice<Posting>,
@@ -406,71 +260,24 @@ impl std::fmt::Display for IndexLayoutError {
 
 impl std::error::Error for IndexLayoutError {}
 
+impl Default for InvertedIndex {
+    /// The index over no graphs and no labels: `label_offsets` holds just the
+    /// terminating 0, the layout [`InvertedIndex::from_parts`] accepts.
+    fn default() -> Self {
+        InvertedIndex {
+            postings: SharedSlice::default(),
+            label_offsets: vec![0].into(),
+            graph_counts: SharedSlice::default(),
+        }
+    }
+}
+
 impl InvertedIndex {
     /// Builds the index for `graphs`. `num_labels` must be at least the number
     /// of labels in the interner the graphs were built with (label ids index
     /// directly into the posting-list table).
     pub fn build(graphs: &[TransformationGraph], num_labels: usize) -> Self {
-        // Pass 1: postings per label.
-        let mut counts: Vec<u32> = vec![0; num_labels];
-        for graph in graphs {
-            for (_, _, label) in graph.label_triples() {
-                let idx = label.index();
-                if idx >= counts.len() {
-                    counts.resize(idx + 1, 0);
-                }
-                counts[idx] += 1;
-            }
-        }
-        // Offsets by prefix sum, then scatter through per-label cursors.
-        let mut label_offsets: Vec<u32> = Vec::with_capacity(counts.len() + 1);
-        let mut total = 0u32;
-        for &count in &counts {
-            label_offsets.push(total);
-            total += count;
-        }
-        label_offsets.push(total);
-        let mut postings = vec![
-            Posting {
-                graph: GraphId(0),
-                from: 0,
-                to: 0,
-            };
-            total as usize
-        ];
-        let mut cursors: Vec<u32> = label_offsets[..counts.len()].to_vec();
-        for (gid, graph) in graphs.iter().enumerate() {
-            for (from, to, label) in graph.label_triples() {
-                let cursor = &mut cursors[label.index()];
-                postings[*cursor as usize] = Posting {
-                    graph: GraphId(gid as u32),
-                    from,
-                    to,
-                };
-                *cursor += 1;
-            }
-        }
-        // Graphs were scattered in ascending id order, so each range is
-        // already grouped by graph; the sort settles `(from, to)` within it.
-        let mut graph_counts: Vec<u32> = Vec::with_capacity(counts.len());
-        for l in 0..counts.len() {
-            let range = label_offsets[l] as usize..label_offsets[l + 1] as usize;
-            postings[range.clone()].sort_unstable();
-            let mut distinct = 0u32;
-            let mut last = None;
-            for p in &postings[range] {
-                if last != Some(p.graph) {
-                    distinct += 1;
-                    last = Some(p.graph);
-                }
-            }
-            graph_counts.push(distinct);
-        }
-        InvertedIndex {
-            postings: postings.into(),
-            label_offsets: label_offsets.into(),
-            graph_counts: graph_counts.into(),
-        }
+        InvertedIndex::default().append(graphs, 0, num_labels)
     }
 
     /// Extends the index with the postings of `new_graphs`, whose ids continue
@@ -482,10 +289,10 @@ impl InvertedIndex {
     /// Because every new graph id exceeds every existing id, a touched label's
     /// range stays sorted as soon as its appended tail is: only the tails are
     /// sorted and only the touched labels' distinct-graph counts recomputed,
-    /// while untouched ranges and counts are copied verbatim. The result is
-    /// array-for-array identical to [`InvertedIndex::build`] over the
-    /// concatenated graph slice (pinned by a property test), so the delta
-    /// ingest path can grow an index without ever rebuilding it.
+    /// while untouched ranges and counts are copied verbatim. Appending in
+    /// batches is array-for-array identical to one [`InvertedIndex::build`]
+    /// over the concatenated graph slice (pinned by a property test), so the
+    /// delta ingest path can grow an index without ever rebuilding it.
     pub fn append(
         &self,
         new_graphs: &[TransformationGraph],
@@ -688,25 +495,20 @@ impl InvertedIndex {
         self.label_offsets.len().saturating_sub(1)
     }
 
-    /// Extends a path list by one label: the adjacency-aware intersection
-    /// `ℓ ∩ I[label]` of Section 5.1. An occurrence `⟨G, end⟩` joins with a
-    /// posting `⟨G, from, to⟩` iff `from == end`, producing `⟨G, to⟩`.
+    /// Extends a path's occurrence list by one label: the adjacency-aware
+    /// intersection `ℓ ∩ I[label]` of Section 5.1. An occurrence `⟨G, end⟩`
+    /// joins with a posting `⟨G, from, to⟩` iff `from == end`, producing
+    /// `⟨G, to⟩`.
+    ///
+    /// Clears `out` and writes the intersection of `occs` (sorted by
+    /// `(graph, end)` and deduplicated) with the postings of `label` into it,
+    /// sorted and deduplicated. Reusing one buffer across calls makes the
+    /// step allocation-free once the buffer has grown to the largest list.
     ///
     /// The join is graph-scoped and galloping: both sides advance to each
     /// other's next graph by exponential + binary search instead of a linear
     /// scan, so a short occurrence list against a mega posting list (or vice
     /// versa) costs `O(short × log(long))`.
-    pub fn extend(&self, current: &PathList, label: LabelId) -> PathList {
-        let mut out = Vec::new();
-        self.extend_into(current.occurrences(), label, &mut out);
-        PathList::from_sorted(out)
-    }
-
-    /// [`InvertedIndex::extend`] into a caller-owned buffer: clears `out` and
-    /// writes the intersection of `occs` (sorted by `(graph, end)` and
-    /// deduplicated, as in a [`PathList`]) with the postings of `label` into
-    /// it, sorted and deduplicated. Reusing one buffer across calls makes the
-    /// step allocation-free once the buffer has grown to the largest list.
     pub fn extend_into(
         &self,
         occs: &[PathOccurrence],
@@ -766,21 +568,6 @@ impl InvertedIndex {
     pub fn num_postings(&self) -> usize {
         self.postings.len()
     }
-
-    /// Convenience: the list of graphs containing a whole path (sequence of
-    /// labels) anchored at the first node, computed by repeated [`extend`].
-    ///
-    /// [`extend`]: InvertedIndex::extend
-    pub fn path_list(&self, num_graphs: usize, path: &[LabelId]) -> PathList {
-        let mut list = PathList::universe(num_graphs);
-        for &label in path {
-            list = self.extend(&list, label);
-            if list.is_empty() {
-                break;
-            }
-        }
-        list
-    }
 }
 
 /// The first index of `slice` at which `pred` stops holding (the partition
@@ -825,6 +612,58 @@ mod tests {
             .collect();
         let index = InvertedIndex::build(&graphs, interner.len());
         (graphs, interner, index)
+    }
+
+    /// A sorted, deduplicated occurrence list from raw occurrences.
+    fn sorted(mut occs: Vec<PathOccurrence>) -> Vec<PathOccurrence> {
+        occs.sort();
+        occs.dedup();
+        occs
+    }
+
+    /// The empty path's list over `num_graphs` graphs: every graph, anchored
+    /// at its first node.
+    fn universe(num_graphs: usize) -> Vec<PathOccurrence> {
+        (0..num_graphs)
+            .map(|g| PathOccurrence {
+                graph: GraphId(g as u32),
+                end: 0,
+            })
+            .collect()
+    }
+
+    /// `occs` extended by `label` into a fresh buffer.
+    fn extend(
+        index: &InvertedIndex,
+        occs: &[PathOccurrence],
+        label: LabelId,
+    ) -> Vec<PathOccurrence> {
+        let mut out = Vec::new();
+        index.extend_into(occs, label, &mut out);
+        out
+    }
+
+    /// The list of a whole path, walked label by label from the universe.
+    fn walk(index: &InvertedIndex, num_graphs: usize, path: &[LabelId]) -> Vec<PathOccurrence> {
+        path.iter().fold(universe(num_graphs), |occs, &label| {
+            extend(index, &occs, label)
+        })
+    }
+
+    /// The distinct graphs of a list (the paper's `|ℓ|` is their number).
+    fn distinct_graphs(occs: &[PathOccurrence]) -> Vec<GraphId> {
+        let mut graphs: Vec<GraphId> = occs.iter().map(|occ| occ.graph).collect();
+        graphs.dedup();
+        graphs
+    }
+
+    /// The distinct graphs whose occurrence ends at their last node: those
+    /// for which the path is a complete transformation path.
+    fn completed(occs: &[PathOccurrence], graphs: &[TransformationGraph]) -> Vec<GraphId> {
+        let ends = occs
+            .iter()
+            .filter(|occ| occ.end == graphs[occ.graph.index()].last_node());
+        distinct_graphs(&ends.copied().collect::<Vec<_>>())
     }
 
     fn f1() -> StringFn {
@@ -907,15 +746,14 @@ mod tests {
             interner.get(&f3()).unwrap(),
             interner.get(&f1()).unwrap(),
         ];
-        let list = index.path_list(graphs.len(), &path);
+        let list = walk(&index, graphs.len(), &path);
         // I[f2] ∩ I[f3] ∩ I[f1] = (⟨G1,1,7⟩, ⟨G2,1,9⟩): graphs 0 and 1, both
         // reaching their last node.
-        assert_eq!(list.graph_count(), 2);
-        let complete = list.complete_graphs(|g| graphs[g.index()].last_node());
-        assert_eq!(complete, vec![GraphId(0), GraphId(1)]);
+        assert_eq!(distinct_graphs(&list).len(), 2);
+        assert_eq!(completed(&list, &graphs), vec![GraphId(0), GraphId(1)]);
         assert_eq!(
-            list.occurrences(),
-            &[
+            list,
+            [
                 PathOccurrence {
                     graph: GraphId(0),
                     end: 6
@@ -933,28 +771,26 @@ mod tests {
         let (graphs, interner, index) = example_5_1();
         // f1 directly after f2 is NOT adjacent (f2 ends at node 1, f1 starts at 3).
         let path = vec![interner.get(&f2()).unwrap(), interner.get(&f1()).unwrap()];
-        let list = index.path_list(graphs.len(), &path);
-        assert!(list.is_empty());
+        assert!(walk(&index, graphs.len(), &path).is_empty());
     }
 
     #[test]
     fn universe_and_empty_path() {
         let (graphs, _, index) = example_5_1();
-        let list = index.path_list(graphs.len(), &[]);
-        assert_eq!(list.graph_count(), 3);
-        assert_eq!(list, PathList::universe(3));
+        let list = walk(&index, graphs.len(), &[]);
+        assert_eq!(list, universe(3));
         assert_eq!(
-            list.graphs().collect::<Vec<_>>(),
+            distinct_graphs(&list),
             vec![GraphId(0), GraphId(1), GraphId(2)]
         );
         // Unknown label -> empty.
         let unknown = LabelId(u32::MAX - 1);
-        assert!(index.extend(&list, unknown).is_empty());
+        assert!(extend(&index, &list, unknown).is_empty());
     }
 
     #[test]
     fn graph_count_counts_distinct_graphs() {
-        let list = PathList::from_occurrences(vec![
+        let list = sorted(vec![
             PathOccurrence {
                 graph: GraphId(1),
                 end: 3,
@@ -968,8 +804,8 @@ mod tests {
                 end: 2,
             },
         ]);
-        assert_eq!(list.graph_count(), 2);
-        assert_eq!(list.occurrences().len(), 3);
+        assert_eq!(distinct_graphs(&list), vec![GraphId(0), GraphId(1)]);
+        assert_eq!(list.len(), 3);
     }
 
     #[test]
@@ -987,57 +823,9 @@ mod tests {
     fn constant_full_string_is_singleton_list() {
         let (graphs, interner, index) = example_5_1();
         let id = interner.get(&StringFn::constant("M. Lee")).unwrap();
-        let list = index.path_list(graphs.len(), &[id]);
-        assert_eq!(list.graph_count(), 1);
-        let complete = list.complete_graphs(|g| graphs[g.index()].last_node());
-        assert_eq!(complete, vec![GraphId(0)]);
-    }
-
-    #[test]
-    fn slice_graphs_is_a_zero_copy_sub_view() {
-        let list = PathList::from_occurrences(vec![
-            PathOccurrence {
-                graph: GraphId(0),
-                end: 2,
-            },
-            PathOccurrence {
-                graph: GraphId(2),
-                end: 1,
-            },
-            PathOccurrence {
-                graph: GraphId(2),
-                end: 4,
-            },
-            PathOccurrence {
-                graph: GraphId(5),
-                end: 0,
-            },
-        ]);
-        let mid = list.slice_graphs(1..5);
-        assert_eq!(
-            mid.occurrences(),
-            &[
-                PathOccurrence {
-                    graph: GraphId(2),
-                    end: 1
-                },
-                PathOccurrence {
-                    graph: GraphId(2),
-                    end: 4
-                }
-            ]
-        );
-        assert_eq!(mid.graph_count(), 1);
-        // The sub-view shares the parent's arena.
-        assert!(list.backing.ptr_eq(&mid.backing));
-        assert!(list.slice_graphs(3..5).is_empty());
-        assert_eq!(list.slice_graphs(0..6), list);
-        // Slicing composes with `extend`-style equality semantics.
-        assert_eq!(
-            mid,
-            PathList::from_occurrences(mid.occurrences().to_vec()),
-            "a view equals its materialized copy"
-        );
+        let list = walk(&index, graphs.len(), &[id]);
+        assert_eq!(distinct_graphs(&list).len(), 1);
+        assert_eq!(completed(&list, &graphs), vec![GraphId(0)]);
     }
 
     #[test]
@@ -1064,8 +852,8 @@ mod tests {
             interner.get(&f1()).unwrap(),
         ];
         assert_eq!(
-            rebuilt.path_list(graphs.len(), &path),
-            index.path_list(graphs.len(), &path)
+            walk(&rebuilt, graphs.len(), &path),
+            walk(&index, graphs.len(), &path)
         );
 
         assert_eq!(
@@ -1163,6 +951,10 @@ mod tests {
         let (_, _, index) = example_5_1();
         let appended = index.append(&[], 3, index.num_labels());
         assert_eq!(appended.raw_parts(), index.raw_parts());
+        // Also on the empty index, whose offsets hold the terminating 0.
+        let empty = InvertedIndex::default();
+        assert_eq!(empty.raw_parts().1, &[0]);
+        assert_eq!(empty.append(&[], 0, 0).raw_parts(), empty.raw_parts());
     }
 
     proptest! {
@@ -1208,13 +1000,13 @@ mod tests {
             prop_assert_eq!(appended.raw_parts(), full.raw_parts());
         }
 
-        /// `extend_into` is `extend` into a caller-owned buffer: whatever the
-        /// buffer held before (the pivot search reuses one across steps), it
-        /// ends up holding exactly `extend`'s list — for the universe list,
-        /// the empty list, one-label lists and random sorted lists, against
-        /// every known label plus an unknown one.
+        /// Whatever a reused buffer held before (the pivot search reuses one
+        /// across steps), `extend_into` leaves in it exactly the list it
+        /// writes into a fresh buffer — for the universe list, the empty
+        /// list, one-label lists and random sorted lists, against every
+        /// known label plus an unknown one.
         #[test]
-        fn prop_extend_into_a_dirty_buffer_equals_extend(
+        fn prop_extend_into_a_dirty_buffer_equals_a_fresh_one(
             pairs in proptest::collection::vec(("[a-c, ]{1,8}", "[a-c,. ]{1,8}"), 1..8),
             raw in proptest::collection::vec((0u32..10, 0u32..10), 0..24),
             dirt in proptest::collection::vec((0u32..4, 0u32..12), 0..10),
@@ -1228,14 +1020,15 @@ mod tests {
                 .filter_map(|(lhs, rhs)| builder.build(&Replacement::new(lhs, rhs), &mut interner))
                 .collect();
             let index = InvertedIndex::build(&graphs, interner.len());
-            let universe = PathList::universe(graphs.len());
-            let random = PathList::from_occurrences(
+            let universe = universe(graphs.len());
+            let random = sorted(
                 raw.iter()
                     .filter(|(g, _)| (*g as usize) < graphs.len())
                     .map(|&(g, end)| PathOccurrence { graph: GraphId(g), end })
                     .collect(),
             );
-            let one_label = index.extend(
+            let one_label = extend(
+                &index,
                 &universe,
                 LabelId((first_label % index.num_labels().max(1)) as u32),
             );
@@ -1243,13 +1036,11 @@ mod tests {
                 .iter()
                 .map(|&(g, end)| PathOccurrence { graph: GraphId(g), end })
                 .collect();
-            let empty = PathList::default();
-            for list in [&universe, &empty, &one_label, &random] {
+            for list in [&universe, &Vec::new(), &one_label, &random] {
                 for l in 0..=index.num_labels() {
                     let label = LabelId(l as u32);
-                    index.extend_into(list.occurrences(), label, &mut buf);
-                    let extended = index.extend(list, label);
-                    prop_assert_eq!(&buf[..], extended.occurrences());
+                    index.extend_into(list, label, &mut buf);
+                    prop_assert_eq!(&buf, &extend(&index, list, label));
                 }
             }
         }
@@ -1288,7 +1079,7 @@ mod tests {
         let id1 = interner.get(&f1()).unwrap();
         // Start "mid-path" at node 3 of graph 0 and node 0 of graph 1: only the
         // graph-0 occurrence can extend through f1 (which starts at 3 there).
-        let current = PathList::from_occurrences(vec![
+        let current = sorted(vec![
             PathOccurrence {
                 graph: GraphId(0),
                 end: 3,
@@ -1298,10 +1089,9 @@ mod tests {
                 end: 0,
             },
         ]);
-        let next = index.extend(&current, id1);
         assert_eq!(
-            next.occurrences(),
-            &[PathOccurrence {
+            extend(&index, &current, id1),
+            [PathOccurrence {
                 graph: GraphId(0),
                 end: 6
             }]

@@ -151,8 +151,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// The parameters an `/ingest` delta session is pinned to. The first batch
-/// fixes them; every later batch must repeat them exactly, because a
+/// The job parameters `/pipeline` and `/ingest` share, parsed from the query
+/// string. An `/ingest` delta session is pinned to them: the first batch
+/// fixes them and every later batch must repeat them exactly, because a
 /// [`DeltaPipeline`] is only equivalent to a one-shot rebuild when every
 /// batch ran under one configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,6 +163,54 @@ struct IngestParams {
     mode: AutoMode,
     truth: TruthMethod,
     name: String,
+}
+
+impl IngestParams {
+    /// Parses `threshold`, `budget`, `mode`, `truth-method` and `name`,
+    /// rejecting the first malformed one with a 400.
+    fn parse(request: &Request) -> Result<Self, HttpFailure> {
+        let fail = |message: String| HttpFailure::new(400, message);
+        let threshold: f64 = match request.query_param("threshold") {
+            None => 0.75,
+            Some(v) => v
+                .parse()
+                .map_err(|_| fail(format!("threshold expects a number, got '{v}'")))?,
+        };
+        if !(0.0..=1.0).contains(&threshold) {
+            return Err(fail(format!(
+                "threshold must be between 0 and 1, got {threshold}"
+            )));
+        }
+        let budget: usize = match request.query_param("budget") {
+            None => 100,
+            Some(v) => v
+                .parse()
+                .map_err(|_| fail(format!("budget expects an integer, got '{v}'")))?,
+        };
+        let mode = match request.query_param("mode") {
+            None => AutoMode::Auto,
+            Some(name) => AutoMode::parse(name).ok_or_else(|| {
+                fail(format!(
+                    "unknown mode '{name}'; expected auto or approve-all"
+                ))
+            })?,
+        };
+        let truth = match request.query_param("truth-method").unwrap_or("majority") {
+            "majority" | "mc" => TruthMethod::MajorityConsensus,
+            "reliability" | "source-reliability" => TruthMethod::SourceReliability,
+            other => return Err(fail(format!("unknown truth method '{other}'"))),
+        };
+        Ok(IngestParams {
+            threshold,
+            budget,
+            mode,
+            truth,
+            name: request
+                .query_param("name")
+                .unwrap_or("resolved")
+                .to_string(),
+        })
+    }
 }
 
 /// The server's one persistent delta-ingest session.
@@ -590,36 +639,13 @@ fn handle_pipeline(
     persistence: Persistence,
 ) -> HandlerResult {
     let fail = |message: String| HttpFailure::new(400, message);
-    let threshold: f64 = match request.query_param("threshold") {
-        None => 0.75,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("threshold expects a number, got '{v}'")))?,
-    };
-    if !(0.0..=1.0).contains(&threshold) {
-        return Err(fail(format!(
-            "threshold must be between 0 and 1, got {threshold}"
-        )));
-    }
-    let budget: usize = match request.query_param("budget") {
-        None => 100,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("budget expects an integer, got '{v}'")))?,
-    };
-    let mode = match request.query_param("mode") {
-        None => AutoMode::Auto,
-        Some(name) => AutoMode::parse(name).ok_or_else(|| {
-            fail(format!(
-                "unknown mode '{name}'; expected auto or approve-all"
-            ))
-        })?,
-    };
-    let truth_method = match request.query_param("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => return Err(fail(format!("unknown truth method '{other}'"))),
-    };
+    let IngestParams {
+        threshold,
+        budget,
+        mode,
+        truth,
+        name,
+    } = IngestParams::parse(request)?;
     let output = match request.query_param("output").unwrap_or("standardized") {
         "standardized" | "std" => PipelineOutput::Standardized,
         "golden" => PipelineOutput::Golden,
@@ -630,10 +656,6 @@ fn handle_pipeline(
             )))
         }
     };
-    let name = request
-        .query_param("name")
-        .unwrap_or("resolved")
-        .to_string();
 
     let config = ConsolidationConfig {
         budget,
@@ -695,7 +717,7 @@ fn handle_pipeline(
         preloaded.map(|compiled| compiled.columns.as_slice()),
         Some(&mut learned),
     );
-    let golden = pipeline.discover_golden_records(&dataset, truth_method);
+    let golden = pipeline.discover_golden_records(&dataset, truth);
     if !learned.is_empty() {
         state.library.write().unwrap().merge(&learned);
     }
@@ -814,46 +836,7 @@ fn handle_ingest(
     persistence: Persistence,
 ) -> HandlerResult {
     let fail = |message: String| HttpFailure::new(400, message);
-    let threshold: f64 = match request.query_param("threshold") {
-        None => 0.75,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("threshold expects a number, got '{v}'")))?,
-    };
-    if !(0.0..=1.0).contains(&threshold) {
-        return Err(fail(format!(
-            "threshold must be between 0 and 1, got {threshold}"
-        )));
-    }
-    let budget: usize = match request.query_param("budget") {
-        None => 100,
-        Some(v) => v
-            .parse()
-            .map_err(|_| fail(format!("budget expects an integer, got '{v}'")))?,
-    };
-    let mode = match request.query_param("mode") {
-        None => AutoMode::Auto,
-        Some(name) => AutoMode::parse(name).ok_or_else(|| {
-            fail(format!(
-                "unknown mode '{name}'; expected auto or approve-all"
-            ))
-        })?,
-    };
-    let truth = match request.query_param("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => return Err(fail(format!("unknown truth method '{other}'"))),
-    };
-    let params = IngestParams {
-        threshold,
-        budget,
-        mode,
-        truth,
-        name: request
-            .query_param("name")
-            .unwrap_or("resolved")
-            .to_string(),
-    };
+    let params = IngestParams::parse(request)?;
 
     // Parse the whole batch off the socket before taking the session lock:
     // a slow client must not stall other ingests mid-upload.
@@ -891,16 +874,16 @@ fn handle_ingest(
                 &params.name,
                 columns,
                 ResolverConfig {
-                    threshold,
+                    threshold: params.threshold,
                     ..ResolverConfig::default()
                 },
                 ConsolidationConfig {
-                    budget,
+                    budget: params.budget,
                     ..ConsolidationConfig::default()
                 }
                 .with_threads(state.threads),
-                mode,
-                truth,
+                params.mode,
+                params.truth,
             )
             .with_cache_cap(state.ingest_cache_cap),
             params,
@@ -962,54 +945,48 @@ fn handle_apply(
     persistence: Persistence,
 ) -> HandlerResult {
     // An empty body against a preloaded artifact: standardize the compiled
-    // dataset's own records through the current library.
+    // dataset's own records through the current library, flattened in
+    // cluster order exactly like `ec compile --emit-flat` writes them, so the
+    // response matches posting that file.
     if body_empty {
         if let Some(compiled) = state.preloaded.as_ref() {
             let compiled = Arc::clone(compiled);
-            return handle_apply_compiled(&compiled, writer, state, persistence);
+            let records = compiled.dataset.clusters.iter().flat_map(|c| &c.rows);
+            let records = records.map(|row| {
+                let fields = row.cells.iter().map(|c| c.observed.clone()).collect();
+                Ok((row.source, fields))
+            });
+            return stream_apply(
+                &compiled.dataset.columns,
+                records,
+                writer,
+                state,
+                persistence,
+            );
         }
     }
-    let mut stream = FlatCsvReader::new(body)
-        .map_err(|e| HttpFailure::new(400, format!("bad flat CSV body: {e}")))?;
+    let bad_body = |e| HttpFailure::new(400, format!("bad flat CSV body: {e}"));
+    let mut stream = FlatCsvReader::new(body).map_err(bad_body)?;
     let columns = stream.columns().to_vec();
-    let library = apply_snapshot(state);
-    let applier = library.applier(&columns);
-    let mut report = ApplyReport::default();
-
-    write_apply_head(writer, persistence, library.version()).map_err(io_failure)?;
-    let mut body_writer = ChunkedWriter::new(writer);
-    {
-        // Record in, record out: per-connection memory is one record plus
-        // the CSV reader's refill buffer.
-        let mut buffered = BufWriter::with_capacity(8 * 1024, &mut body_writer);
-        let mut csv = CsvWriter::new(&mut buffered);
-        let header = std::iter::once("source").chain(columns.iter().map(String::as_str));
-        csv.write_record(header).map_err(io_failure)?;
-        while let Some(record) = stream.next_record() {
-            let mut record =
-                record.map_err(|e| HttpFailure::new(400, format!("bad flat CSV body: {e}")))?;
-            applier.apply_fields(&mut record.fields, &mut report);
-            let fields = std::iter::once(record.source.to_string()).chain(record.fields);
-            csv.write_record(fields).map_err(io_failure)?;
-        }
-        csv.flush().map_err(io_failure)?;
-        buffered.flush().map_err(io_failure)?;
-    }
-    finish_apply_body(body_writer, &report, state)
+    // Record in, record out: per-connection memory is one record plus the
+    // CSV reader's refill buffer.
+    let records = std::iter::from_fn(|| stream.next_record())
+        .map(|record| record.map(|r| (r.source, r.fields)).map_err(bad_body));
+    stream_apply(&columns, records, writer, state, persistence)
 }
 
-/// The preloaded-artifact `/apply` path: the compiled dataset's records are
-/// the input, flattened in cluster order exactly like `ec compile
-/// --emit-flat` writes them, so the response matches posting that file.
-fn handle_apply_compiled(
-    compiled: &CompiledDataset,
+/// Streams an `/apply` response: the chunked head, a header row, each
+/// `(source, fields)` record standardized through a library snapshot, and
+/// the count trailers. A record source error ends the response early.
+fn stream_apply(
+    columns: &[String],
+    records: impl Iterator<Item = Result<(usize, Vec<String>), HttpFailure>>,
     writer: &mut BufWriter<TcpStream>,
-    state: &Arc<ServerState>,
+    state: &ServerState,
     persistence: Persistence,
 ) -> HandlerResult {
-    let columns = compiled.dataset.columns.clone();
     let library = apply_snapshot(state);
-    let applier = library.applier(&columns);
+    let applier = library.applier(columns);
     let mut report = ApplyReport::default();
 
     write_apply_head(writer, persistence, library.version()).map_err(io_failure)?;
@@ -1019,14 +996,11 @@ fn handle_apply_compiled(
         let mut csv = CsvWriter::new(&mut buffered);
         let header = std::iter::once("source").chain(columns.iter().map(String::as_str));
         csv.write_record(header).map_err(io_failure)?;
-        for cluster in &compiled.dataset.clusters {
-            for row in &cluster.rows {
-                let mut fields: Vec<String> =
-                    row.cells.iter().map(|c| c.observed.clone()).collect();
-                applier.apply_fields(&mut fields, &mut report);
-                let fields = std::iter::once(row.source.to_string()).chain(fields);
-                csv.write_record(fields).map_err(io_failure)?;
-            }
+        for record in records {
+            let (source, mut fields) = record?;
+            applier.apply_fields(&mut fields, &mut report);
+            let fields = std::iter::once(source.to_string()).chain(fields);
+            csv.write_record(fields).map_err(io_failure)?;
         }
         csv.flush().map_err(io_failure)?;
         buffered.flush().map_err(io_failure)?;
@@ -1416,7 +1390,7 @@ mod tests {
     }
 
     /// The compiled dataset's records as flat CSV, cluster-major — the same
-    /// order `handle_apply_compiled` streams and `ec compile --emit-flat`
+    /// order the preloaded `/apply` path streams and `ec compile --emit-flat`
     /// writes.
     fn flatten_compiled(compiled: &CompiledDataset) -> Vec<u8> {
         let mut flat = Vec::new();

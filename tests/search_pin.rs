@@ -2,7 +2,7 @@
 //! changes.
 //!
 //! The determinism suites compare thread counts of one build, and the
-//! arena-vs-`PathList` DFS oracle compares two kernels of one build, so
+//! arena-vs-per-step-list DFS oracle compares two kernels of one build, so
 //! neither would notice a rewrite that moved where the default 50k-step
 //! budget cuts a search off. This suite drains a [`StructuredGrouper`] at the
 //! default [`GroupingConfig`] over seeded Address and AuthorList candidates —
