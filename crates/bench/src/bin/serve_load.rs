@@ -8,12 +8,19 @@
 //! connections against two topologies:
 //!
 //! * **single** — clients talk straight to one backend;
-//! * **routed-2** — clients talk to an `ec serve --route` front-end sharding
-//!   across two backends.
+//! * **routed-2** — clients talk to an `ec serve --route` front-end over two
+//!   backends. The router routes each `/apply` whole, by blocking key, and
+//!   every client posts the same body, so all of this load lands on one
+//!   backend: the routed-2 numbers measure the router's own per-request
+//!   cost (the extra hop), not load spreading.
 //!
 //! Each client thread holds one keep-alive connection and issues its
 //! requests back to back, so the measured latency includes the queueing an
 //! online consolidation service actually exhibits under connection fan-in.
+//! Every `200` body, in both topologies, is compared with the single
+//! backend's answer to the same request (fetched once before the load); the
+//! run exits `1` when any request fails or any body differs, so the bench
+//! doubles as a routed-correctness check under concurrent load.
 //! Around each topology's run the harness scrapes `GET /metrics` at the
 //! address the load is driven at and embeds the counter movement (requests,
 //! pool, library fast-path, router lease/replication series) per topology.
@@ -187,14 +194,24 @@ fn workload_body(records: usize) -> Vec<u8> {
 struct LoadResult {
     latencies_us: Vec<u64>,
     errors: usize,
+    /// `200` responses whose body differs from the reference answer.
+    mismatches: usize,
     wall: Duration,
 }
 
 /// Drives `connections × requests` keep-alive `POST /apply` calls at `addr`,
-/// one thread per connection, returning every successful request's latency.
-fn run_load(addr: SocketAddr, connections: usize, requests: usize, body: &[u8]) -> LoadResult {
+/// one thread per connection, returning every successful request's latency
+/// and counting `200` bodies that differ from `expected`.
+fn run_load(
+    addr: SocketAddr,
+    connections: usize,
+    requests: usize,
+    body: &[u8],
+    expected: &[u8],
+) -> LoadResult {
     let latencies = Mutex::new(Vec::with_capacity(connections * requests));
     let errors = Mutex::new(0usize);
+    let mismatches = Mutex::new(0usize);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..connections {
@@ -223,6 +240,9 @@ fn run_load(addr: SocketAddr, connections: usize, requests: usize, body: &[u8]) 
                     match conn.request("POST", "/apply", body, keep_alive) {
                         Ok(response) if response.status == 200 => {
                             local.push(sent.elapsed().as_micros() as u64);
+                            if response.body != expected {
+                                *mismatches.lock().unwrap() += 1;
+                            }
                         }
                         _ => {
                             *errors.lock().unwrap() += requests - r;
@@ -237,6 +257,7 @@ fn run_load(addr: SocketAddr, connections: usize, requests: usize, body: &[u8]) 
     LoadResult {
         latencies_us: latencies.into_inner().unwrap(),
         errors: errors.into_inner().unwrap(),
+        mismatches: mismatches.into_inner().unwrap(),
         wall: started.elapsed(),
     }
 }
@@ -246,6 +267,7 @@ struct Summary {
     backends: usize,
     ok: usize,
     errors: usize,
+    mismatches: usize,
     wall: Duration,
     throughput: f64,
     p50: u64,
@@ -274,6 +296,7 @@ fn summarize(name: &'static str, backends: usize, mut result: LoadResult) -> Sum
         backends,
         ok,
         errors: result.errors,
+        mismatches: result.mismatches,
         wall: result.wall,
         throughput: if result.wall.as_secs_f64() > 0.0 {
             ok as f64 / result.wall.as_secs_f64()
@@ -302,9 +325,10 @@ fn run_topology(
     addr: SocketAddr,
     options: &Options,
     body: &[u8],
+    expected: &[u8],
 ) -> Summary {
     let before = scrape_metrics(addr).unwrap_or_default();
-    let result = run_load(addr, options.connections, options.requests, body);
+    let result = run_load(addr, options.connections, options.requests, body, expected);
     let after = scrape_metrics(addr).unwrap_or_default();
     let mut summary = summarize(name, backends, result);
     summary.metrics = metrics_delta_json(&before, &after, METRIC_PREFIXES);
@@ -322,13 +346,14 @@ fn json_report(options: &Options, summaries: &[Summary]) -> String {
     for (i, s) in summaries.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"backends\": {}, \"ok_requests\": {}, \"errors\": {}, \
-             \"wall_seconds\": {:.3}, \"throughput_rps\": {:.1}, \
+             \"mismatches\": {}, \"wall_seconds\": {:.3}, \"throughput_rps\": {:.1}, \
              \"latency_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}, \"mean\": {}}}, \
              \"metrics\": {}}}{}\n",
             s.name,
             s.backends,
             s.ok,
             s.errors,
+            s.mismatches,
             s.wall.as_secs_f64(),
             s.throughput,
             s.p50,
@@ -375,14 +400,17 @@ fn main() {
         options.connections, options.requests, options.records
     );
 
-    // Topology 1: clients straight at one backend.
-    let single = {
+    // Topology 1: clients straight at one backend, whose answer to the
+    // workload body is the reference every load response must match.
+    let (single, expected) = {
         let backend = ServeChild::spawn(&ec, &backend_args(0));
         println!("single: backend at {}", backend.addr);
-        run_topology("single", 1, backend.addr, &options, &body)
+        let expected = reference_body(backend.addr, &body);
+        let summary = run_topology("single", 1, backend.addr, &options, &body, &expected);
+        (summary, expected)
     };
 
-    // Topology 2: clients at a router sharding across two backends.
+    // Topology 2: clients at a router over two backends.
     let routed = {
         let backend_a = ServeChild::spawn(&ec, &backend_args(0));
         let backend_b = ServeChild::spawn(&ec, &backend_args(1));
@@ -400,15 +428,15 @@ fn main() {
             "routed-2: router at {} over {} and {}",
             router.addr, backend_a.addr, backend_b.addr
         );
-        run_topology("routed-2", 2, router.addr, &options, &body)
+        run_topology("routed-2", 2, router.addr, &options, &body, &expected)
     };
 
     let _ = std::fs::remove_file(&snapshot_path);
 
     let summaries = [single, routed];
     let mut table = TextTable::new([
-        "topology", "backends", "ok", "errors", "wall s", "req/s", "p50 us", "p90 us", "p99 us",
-        "max us", "mean us",
+        "topology", "backends", "ok", "errors", "mismatch", "wall s", "req/s", "p50 us", "p90 us",
+        "p99 us", "max us", "mean us",
     ]);
     for s in &summaries {
         table.push_row([
@@ -416,6 +444,7 @@ fn main() {
             s.backends.to_string(),
             s.ok.to_string(),
             s.errors.to_string(),
+            s.mismatches.to_string(),
             format!("{:.2}", s.wall.as_secs_f64()),
             format!("{:.1}", s.throughput),
             s.p50.to_string(),
@@ -428,9 +457,30 @@ fn main() {
     println!("{}", table.to_plain_text());
     export_artifact("BENCH_serve_load.json", &json_report(&options, &summaries));
 
-    let failed = summaries.iter().any(|s| s.ok == 0);
+    let mut failed = false;
+    for s in &summaries {
+        if s.ok == 0 || s.errors > 0 || s.mismatches > 0 {
+            eprintln!(
+                "serve_load: {} served {} requests with {} errors and {} bodies differing \
+                 from the single backend's",
+                s.name, s.ok, s.errors, s.mismatches
+            );
+            failed = true;
+        }
+    }
     if failed {
-        eprintln!("serve_load: a topology served zero requests");
         std::process::exit(1);
     }
+}
+
+/// The single backend's `/apply` answer to the workload body.
+fn reference_body(addr: SocketAddr, body: &[u8]) -> Vec<u8> {
+    let mut conn = ClientConn::connect(addr, Some(Duration::from_secs(1))).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("set read timeout");
+    let response = conn
+        .request("POST", "/apply", body, false)
+        .expect("reference /apply");
+    assert_eq!(response.status, 200, "reference /apply failed");
+    response.body
 }

@@ -299,8 +299,8 @@ SUBCOMMANDS:
                                       `ec ingest`; 0 = unbounded)
                with --route, run as a shard router instead: partition work
                across backend ec serve processes over a consistent-hash
-               ring (/apply shards by column, /pipeline routes whole by
-               blocking key, libraries replicate across backends)
+               ring (/pipeline and /apply route whole by blocking key,
+               libraries replicate across backends)
                  --route HOST:PORT,HOST:PORT,...  [--addr HOST:PORT]
   help         show this message
 

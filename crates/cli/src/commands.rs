@@ -352,15 +352,12 @@ fn consolidate_dataset(
     };
     let budget = pipeline.config().budget;
     let mode = parsed.get("mode").unwrap_or("auto");
-    let truth_method = match parsed.get("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown truth method '{other}'; expected majority or reliability"
-            )))
-        }
-    };
+    let truth_name = parsed.get("truth-method").unwrap_or("majority");
+    let truth_method = TruthMethod::parse(truth_name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown truth method '{truth_name}'; expected majority or reliability"
+        ))
+    })?;
     // Open every requested sink before any work runs (and before any file
     // is truncated): a bad path must fail the command while pre-existing
     // output files are still intact.
@@ -624,15 +621,12 @@ pub fn ingest(
             "unknown mode '{mode_name}'; expected auto or approve-all"
         ))
     })?;
-    let truth_method = match parsed.get("truth-method").unwrap_or("majority") {
-        "majority" | "mc" => TruthMethod::MajorityConsensus,
-        "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown truth method '{other}'; expected majority or reliability"
-            )))
-        }
-    };
+    let truth_name = parsed.get("truth-method").unwrap_or("majority");
+    let truth_method = TruthMethod::parse(truth_name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown truth method '{truth_name}'; expected majority or reliability"
+        ))
+    })?;
     let mut stream = FlatCsvReader::new(input).map_err(|e| CliError::Data(e.to_string()))?;
     let columns = stream.columns().to_vec();
 

@@ -328,26 +328,14 @@ impl ProgramLibrary {
                 Direction::Backward => (r.rhs().to_string(), r.lhs().to_string()),
             })
             .collect();
-        let entries = self.columns.entry(column.to_string()).or_default();
-        if let Some(existing) = entries.iter_mut().find(|e| {
-            e.direction == approved.direction && e.program.as_ref() == approved.group.program()
-        }) {
-            for pair in rewrites {
-                if !existing.rewrites.contains(&pair) {
-                    existing.rewrites.push(pair);
-                }
-            }
-            existing.touched = touched;
-            existing.touched_at = touched_at;
-        } else {
-            entries.push(LearnedProgram {
-                program: approved.group.program().cloned(),
-                direction: approved.direction,
-                rewrites,
-                touched,
-                touched_at,
-            });
-        }
+        let incoming = LearnedProgram {
+            program: approved.group.program().cloned(),
+            direction: approved.direction,
+            rewrites,
+            touched,
+            touched_at,
+        };
+        self.upsert(column, &incoming, touched, touched_at);
         self.version += 1;
         self.enforce_capacity(column);
     }
@@ -358,30 +346,45 @@ impl ProgramLibrary {
         let touched_at = Some(Instant::now());
         for (column, entries) in &other.columns {
             for entry in entries {
-                let slot = self.columns.entry(column.clone()).or_default();
-                if let Some(existing) = slot
-                    .iter_mut()
-                    .find(|e| e.direction == entry.direction && e.program == entry.program)
-                {
-                    for pair in &entry.rewrites {
-                        if !existing.rewrites.contains(pair) {
-                            existing.rewrites.push(pair.clone());
-                        }
-                    }
-                    existing.touched = touched;
-                    existing.touched_at = touched_at;
-                } else {
-                    slot.push(LearnedProgram {
-                        touched,
-                        touched_at,
-                        ..entry.clone()
-                    });
-                }
+                self.upsert(column, entry, touched, touched_at);
             }
         }
         self.version += 1;
         for column in other.columns.keys() {
             self.enforce_capacity(column);
+        }
+    }
+
+    /// Folds `incoming` into `column`'s entries, stamped `touched` /
+    /// `touched_at`: an entry with the same direction and program gains the
+    /// rewrites it lacks, otherwise a copy of `incoming` is appended. The one
+    /// upsert behind both `record` and `merge`.
+    fn upsert(
+        &mut self,
+        column: &str,
+        incoming: &LearnedProgram,
+        touched: u64,
+        touched_at: Option<Instant>,
+    ) {
+        let entries = self.columns.entry(column.to_string()).or_default();
+        match entries
+            .iter_mut()
+            .find(|e| e.direction == incoming.direction && e.program == incoming.program)
+        {
+            Some(existing) => {
+                for pair in &incoming.rewrites {
+                    if !existing.rewrites.contains(pair) {
+                        existing.rewrites.push(pair.clone());
+                    }
+                }
+                existing.touched = touched;
+                existing.touched_at = touched_at;
+            }
+            None => entries.push(LearnedProgram {
+                touched,
+                touched_at,
+                ..incoming.clone()
+            }),
         }
     }
 

@@ -20,6 +20,18 @@ pub enum TruthMethod {
     SourceReliability,
 }
 
+impl TruthMethod {
+    /// Parses the truth-method names shared by the CLI flag and the serve
+    /// query parameter.
+    pub fn parse(name: &str) -> Option<TruthMethod> {
+        match name {
+            "majority" | "mc" => Some(TruthMethod::MajorityConsensus),
+            "reliability" | "source-reliability" => Some(TruthMethod::SourceReliability),
+            _ => None,
+        }
+    }
+}
+
 /// Configuration of the consolidation pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConsolidationConfig {

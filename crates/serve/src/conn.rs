@@ -15,6 +15,10 @@
 //! already active, new connections are rejected inline on the accept thread
 //! with `503` + `Retry-After` — bounded, observable backpressure instead of
 //! an unbounded queue of parked jobs.
+//!
+//! The handler pieces both services answer identically live here too: the
+//! bearer gate, the `411` body check, `GET /metrics`, `POST /shutdown` and
+//! the `500` for a failed response write.
 
 use crate::http::{self, Persistence, Request};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -78,6 +82,87 @@ impl HttpFailure {
 }
 
 pub(crate) type HandlerResult = Result<(), HttpFailure>;
+
+/// A response write that failed: a `500` if the head has not gone out yet.
+pub(crate) fn io_failure(e: io::Error) -> HttpFailure {
+    HttpFailure::new(500, format!("io error: {e}"))
+}
+
+/// Rejects a body-carrying endpoint's request that declared no
+/// `Content-Length` body with `411`.
+pub(crate) fn require_body(has_body: bool) -> Result<(), HttpFailure> {
+    if has_body {
+        Ok(())
+    } else {
+        Err(HttpFailure::new(
+            411,
+            "a Content-Length body is required (chunked requests are not supported)",
+        ))
+    }
+}
+
+/// Enforces `Authorization: Bearer <token>` when the service was started
+/// with an auth token; a service without one admits everything. Server and
+/// router gate every `POST` through this (same header, same failure).
+pub(crate) fn require_bearer(
+    request: &Request,
+    auth_token: Option<&str>,
+) -> Result<(), HttpFailure> {
+    let Some(token) = auth_token else {
+        return Ok(());
+    };
+    let presented = request
+        .header("authorization")
+        .and_then(|v| v.strip_prefix("Bearer "));
+    if presented == Some(token) {
+        Ok(())
+    } else {
+        Err(HttpFailure::new(
+            401,
+            "this endpoint requires 'Authorization: Bearer <token>'",
+        ))
+    }
+}
+
+/// `GET /metrics`: the process-wide registry in Prometheus text exposition.
+/// Open like `/healthz` — the scrape is read-only, and health probes and
+/// metric collectors sit on the same trust boundary. One registry per
+/// process, whichever service answers.
+pub(crate) fn handle_metrics(
+    writer: &mut BufWriter<TcpStream>,
+    persistence: Persistence,
+) -> HandlerResult {
+    let body = ec_obs::render();
+    http::write_response(
+        writer,
+        200,
+        "text/plain; version=0.0.4",
+        &[],
+        persistence,
+        body.as_bytes(),
+    )
+    .map_err(io_failure)
+}
+
+/// `POST /shutdown`: answers, then raises the stop flag. The accept loop is
+/// stopping, so the response never invites another request.
+pub(crate) fn handle_shutdown(
+    life: &Lifecycle,
+    writer: &mut BufWriter<TcpStream>,
+) -> HandlerResult {
+    http::write_response(
+        writer,
+        200,
+        "text/plain",
+        &[],
+        Persistence::Close,
+        b"shutting down\n",
+    )
+    .map_err(io_failure)?;
+    let _ = writer.flush();
+    life.request_stop();
+    Ok(())
+}
 
 /// The streamed request body handed to [`Service::dispatch`].
 pub(crate) type BodyReader<'a> = http::LimitedReader<&'a mut BufReader<TcpStream>>;

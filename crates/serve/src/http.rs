@@ -616,28 +616,9 @@ pub fn request_many(
 }
 
 /// Writes a request head. `keep_alive` picks the advertised `Connection`
-/// answer; the `Content-Length` body (possibly empty) follows on the caller.
-pub fn write_request_head(
-    out: &mut impl Write,
-    method: &str,
-    path_and_query: &str,
-    host: SocketAddr,
-    content_length: u64,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_request_head_ext(
-        out,
-        method,
-        path_and_query,
-        host,
-        content_length,
-        keep_alive,
-        &[],
-    )
-}
-
-/// [`write_request_head`] plus arbitrary extra headers — how clients attach
-/// `Authorization: Bearer …` (and the router forwards it to backends).
+/// answer; `extra_headers` is how clients attach `Authorization: Bearer …`
+/// (and the router forwards it to backends). The `Content-Length` body
+/// (possibly empty) follows on the caller.
 #[allow(clippy::too_many_arguments)]
 pub fn write_request_head_ext(
     out: &mut impl Write,
@@ -698,20 +679,9 @@ impl ClientConn {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Sends one request (head + `Content-Length` body) without reading the
+    /// Sends one request (head + `Content-Length` body) with extra request
+    /// headers (e.g. an `Authorization: Bearer` token) without reading the
     /// response.
-    pub fn send_request(
-        &mut self,
-        method: &str,
-        path_and_query: &str,
-        body: &[u8],
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        self.send_request_with_headers(method, path_and_query, body, keep_alive, &[])
-    }
-
-    /// [`ClientConn::send_request`] with extra request headers (e.g. an
-    /// `Authorization: Bearer` token).
     pub fn send_request_with_headers(
         &mut self,
         method: &str,

@@ -63,8 +63,8 @@
 //!
 //! One process is one shard. `ec serve --route b1:port,b2:port,…` runs the
 //! same binary as a **router** instead (see [`Router`]): a front-end that
-//! owns no library and runs no consolidation, but partitions `/apply` by
-//! column and routes `/pipeline` by blocking key across backend `ec serve`
+//! owns no library and runs no consolidation, but routes each `/pipeline`
+//! and `/apply` request whole, by blocking key, across backend `ec serve`
 //! processes over a consistent-hash [`ring`], health-checking backends and
 //! replicating library mutations between them.
 
@@ -79,7 +79,10 @@ pub mod router;
 pub use ec_graph::pool;
 pub use router::{Router, RouterConfig, RouterHandle};
 
-use conn::{BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
+use conn::{
+    handle_metrics, handle_shutdown, io_failure, require_bearer, require_body, BodyReader,
+    HandlerResult, HttpFailure, Lifecycle, Service,
+};
 use ec_core::{
     resolve_column_spec, standardize_columns, write_golden_records_csv, ApplyReport, AutoMode,
     ColumnReport, CompiledDataset, ConsolidationConfig, DeltaPipeline, FusedPipeline, Pipeline,
@@ -195,11 +198,12 @@ impl IngestParams {
                 ))
             })?,
         };
-        let truth = match request.query_param("truth-method").unwrap_or("majority") {
-            "majority" | "mc" => TruthMethod::MajorityConsensus,
-            "reliability" | "source-reliability" => TruthMethod::SourceReliability,
-            other => return Err(fail(format!("unknown truth method '{other}'"))),
-        };
+        let truth_name = request.query_param("truth-method").unwrap_or("majority");
+        let truth = TruthMethod::parse(truth_name).ok_or_else(|| {
+            fail(format!(
+                "unknown truth method '{truth_name}'; expected majority or reliability"
+            ))
+        })?;
         Ok(IngestParams {
             threshold,
             budget,
@@ -397,16 +401,6 @@ fn dispatch(
     writer: &mut BufWriter<TcpStream>,
     state: &Arc<ServerState>,
 ) -> HandlerResult {
-    let require_body = || -> Result<(), HttpFailure> {
-        if has_body {
-            Ok(())
-        } else {
-            Err(HttpFailure::new(
-                411,
-                "a Content-Length body is required (chunked requests are not supported)",
-            ))
-        }
-    };
     // Every mutating endpoint is a POST; gate them all before routing so an
     // unauthorized caller cannot even probe which POST paths exist.
     if request.method == "POST" {
@@ -417,38 +411,24 @@ fn dispatch(
         ("GET", "/metrics") => handle_metrics(writer, persistence),
         ("GET", "/library") => handle_library(writer, state, persistence),
         ("POST", "/library") => {
-            require_body()?;
+            require_body(has_body)?;
             handle_library_merge(body, writer, state, persistence)
         }
-        ("POST", "/shutdown") => {
-            // The accept loop is stopping; never invite another request.
-            http::write_response(
-                writer,
-                200,
-                "text/plain",
-                &[],
-                Persistence::Close,
-                b"shutting down\n",
-            )
-            .map_err(io_failure)?;
-            let _ = writer.flush();
-            state.life.request_stop();
-            Ok(())
-        }
+        ("POST", "/shutdown") => handle_shutdown(&state.life, writer),
         ("POST", "/pipeline") => {
-            require_body()?;
+            require_body(has_body)?;
             // An empty declared body (`Content-Length: 0`) against a
             // preloaded artifact replays the compiled consolidation.
             let body_empty = body.remaining() == 0;
             handle_pipeline(request, body_empty, body, writer, state, persistence)
         }
         ("POST", "/apply") => {
-            require_body()?;
+            require_body(has_body)?;
             let body_empty = body.remaining() == 0;
             handle_apply(body_empty, body, writer, state, persistence)
         }
         ("POST", "/ingest") => {
-            require_body()?;
+            require_body(has_body)?;
             handle_ingest(request, body, writer, state, persistence)
         }
         ("GET" | "POST", _) => Err(HttpFailure::new(
@@ -457,53 +437,6 @@ fn dispatch(
         )),
         _ => Err(HttpFailure::new(405, "method not allowed")),
     }
-}
-
-/// Enforces `Authorization: Bearer <token>` when the service was started
-/// with an auth token; a service without one admits everything. Shared with
-/// the router (same header, same failure).
-pub(crate) fn require_bearer(
-    request: &Request,
-    auth_token: Option<&str>,
-) -> Result<(), HttpFailure> {
-    let Some(token) = auth_token else {
-        return Ok(());
-    };
-    let presented = request
-        .header("authorization")
-        .and_then(|v| v.strip_prefix("Bearer "));
-    if presented == Some(token) {
-        Ok(())
-    } else {
-        Err(HttpFailure::new(
-            401,
-            "this endpoint requires 'Authorization: Bearer <token>'",
-        ))
-    }
-}
-
-fn io_failure(e: io::Error) -> HttpFailure {
-    HttpFailure::new(500, format!("io error: {e}"))
-}
-
-/// `GET /metrics`: the process-wide registry in Prometheus text exposition.
-/// Open like `/healthz` — the scrape is read-only, and health probes and
-/// metric collectors sit on the same trust boundary. Shared with the router
-/// (one registry per process either way).
-pub(crate) fn handle_metrics(
-    writer: &mut BufWriter<TcpStream>,
-    persistence: Persistence,
-) -> HandlerResult {
-    let body = ec_obs::render();
-    http::write_response(
-        writer,
-        200,
-        "text/plain; version=0.0.4",
-        &[],
-        persistence,
-        body.as_bytes(),
-    )
-    .map_err(io_failure)
 }
 
 fn handle_healthz(

@@ -7,20 +7,17 @@
 //! persistent keep-alive connections per backend. Placement comes from the
 //! consistent-hash [`Ring`]:
 //!
-//! * **`POST /apply` shards by column.** Each attribute column routes to
-//!   the backend that owns it, the router fans one sub-request per owner
-//!   out on scoped threads, and zip-merges the shard responses back into
-//!   one CSV — deterministically, because apply is per-column independent
-//!   and every shard answers in the original record order. With libraries
-//!   replicated (below), the merged bytes equal a single node's.
-//! * **`POST /pipeline` routes by blocking key.** Resolution clustering and
-//!   consolidation learning are *global* over the request's records —
-//!   splitting records across backends would change clusters, candidate
-//!   groups and therefore bytes. So the router keeps each pipeline request
-//!   whole and routes it by a blocking key (the `shard-key` query parameter
-//!   if given, else the normalized first record), spreading *request load*
-//!   across backends while preserving byte-identical responses; the shard's
-//!   response streams back through the router un-buffered.
+//! * **`POST /pipeline` and `POST /apply` route whole, by blocking key.**
+//!   Resolution clustering and consolidation learning are *global* over a
+//!   pipeline request's records — splitting records across backends would
+//!   change clusters, candidate groups and therefore bytes — and every
+//!   backend holds the same replicated library (below), so any one backend's
+//!   `/apply` answer is the fleet's. So the router keeps each request whole
+//!   and routes it by a blocking key (the `shard-key` query parameter if
+//!   given, else the normalized first record, else the raw target),
+//!   spreading *request load* across backends while preserving
+//!   byte-identical responses; the backend's response — headers, body and
+//!   trailers — streams back through the router un-buffered.
 //! * **Backends are health-checked**: a probe loop `GET /healthz`es each
 //!   backend every `probe_interval`; requests fail open past unhealthy
 //!   backends ([`Ring::route_where`]) and a backend that errors mid-request
@@ -40,10 +37,13 @@
 //! (one process in tests, and the same machine in small deployments) would
 //! starve the very work being waited on.
 
-use crate::conn::{self, BodyReader, HandlerResult, HttpFailure, Lifecycle, Service};
+use crate::conn::{
+    self, handle_metrics, handle_shutdown, io_failure, require_bearer, require_body, BodyReader,
+    HandlerResult, HttpFailure, Lifecycle, Service,
+};
 use crate::http::{self, ChunkedWriter, ClientConn, Persistence, Request, Response};
 use crate::ring::{Ring, DEFAULT_REPLICAS};
-use ec_data::{csv::CsvWriter, FlatCsvReader, RecordStream};
+use ec_data::{FlatCsvReader, RecordStream};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -73,8 +73,9 @@ const CONN_BUDGET_HEADROOM: usize = 2;
 /// advertises.
 const MAX_CONN_BUDGET: usize = 16;
 
-/// Cap on a buffered request body (`/pipeline` is buffered so routing can
-/// inspect the first record and failover can replay the request).
+/// Cap on a buffered request body (`/pipeline` and `/apply` are buffered so
+/// routing can inspect the first record and failover can replay the
+/// request).
 const ROUTE_BODY_CAP: u64 = conn::DRAIN_CAP;
 
 /// Probe timeouts are tight: health checks answer from memory.
@@ -380,50 +381,23 @@ impl Service for RouterState {
         body: &mut BodyReader<'_>,
         writer: &mut BufWriter<TcpStream>,
     ) -> HandlerResult {
-        let require_body = || -> Result<(), HttpFailure> {
-            if has_body {
-                Ok(())
-            } else {
-                Err(HttpFailure::new(
-                    411,
-                    "a Content-Length body is required (chunked requests are not supported)",
-                ))
-            }
-        };
         // The same bearer gate as the single-node server: every mutating
         // endpoint is a POST, checked before routing.
         if request.method == "POST" {
-            crate::require_bearer(request, this.auth_token.as_deref())?;
+            require_bearer(request, this.auth_token.as_deref())?;
         }
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => handle_healthz(this, writer, persistence),
-            ("GET", "/metrics") => crate::handle_metrics(writer, persistence),
+            ("GET", "/metrics") => handle_metrics(writer, persistence),
             ("GET", "/library") => handle_library(this, writer, persistence),
             ("POST", "/library") => {
-                require_body()?;
+                require_body(has_body)?;
                 handle_library_replicate(this, body, writer, persistence)
             }
-            ("POST", "/shutdown") => {
-                http::write_response(
-                    writer,
-                    200,
-                    "text/plain",
-                    &[],
-                    Persistence::Close,
-                    b"shutting down\n",
-                )
-                .map_err(io_failure)?;
-                let _ = writer.flush();
-                this.life.request_stop();
-                Ok(())
-            }
-            ("POST", "/pipeline") => {
-                require_body()?;
-                handle_pipeline(this, request, body, writer, persistence)
-            }
-            ("POST", "/apply") => {
-                require_body()?;
-                handle_apply(this, request, body, writer, persistence)
+            ("POST", "/shutdown") => handle_shutdown(&this.life, writer),
+            ("POST", "/pipeline" | "/apply") => {
+                require_body(has_body)?;
+                handle_routed(this, request, body, writer, persistence)
             }
             ("GET" | "POST", _) => Err(HttpFailure::new(
                 404,
@@ -432,10 +406,6 @@ impl Service for RouterState {
             _ => Err(HttpFailure::new(405, "method not allowed")),
         }
     }
-}
-
-fn io_failure(e: io::Error) -> HttpFailure {
-    HttpFailure::new(500, format!("io error: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -562,22 +532,13 @@ impl RouterState {
         Err(last_error.expect("two attempts always record an error"))
     }
 
-    /// The backend `key` routes to right now: its healthy owner, or — when
-    /// the probes have marked everything on `key`'s path down — the owner
-    /// regardless. Health is *advisory*: a backend saturated with pipeline
-    /// compute fails 2-second probes while still serving real requests
-    /// fine, so refusing to try is strictly worse than one wasted connect.
-    fn owner_of(&self, key: &str) -> Option<usize> {
-        self.ring
-            .route_where(key, |b| self.backends[b].is_healthy())
-            .or_else(|| self.ring.route(key))
-    }
-
     /// Routes `key` to its owning backend and sends the request there,
     /// failing over along the ring (marking failed backends down) until a
     /// backend answers or every backend has been tried. Probed-down
-    /// backends are tried last rather than skipped — see
-    /// [`RouterState::owner_of`] for why health is only advisory.
+    /// backends are tried last rather than skipped: health is *advisory* —
+    /// a backend saturated with pipeline compute fails 2-second probes while
+    /// still serving real requests fine, so refusing to try is strictly
+    /// worse than one wasted connect.
     fn call_routed(
         &self,
         key: &str,
@@ -610,31 +571,6 @@ impl RouterState {
                 format!("backend {}: {e}", self.backends[index].name),
             )),
             None => Err(HttpFailure::new(503, "no healthy backend")),
-        }
-    }
-
-    /// [`RouterState::call_routed`] plus a fully buffered response.
-    fn call_routed_buffered(
-        &self,
-        key: &str,
-        method: &str,
-        target: &str,
-        body: &[u8],
-    ) -> Result<Response, HttpFailure> {
-        let (index, mut lease, status, headers) = self.call_routed(key, method, target, body)?;
-        match finish_buffered(lease.conn(), status, headers) {
-            Ok(response) => {
-                lease.release(response.header("connection") != Some("close"));
-                Ok(response)
-            }
-            Err(e) => {
-                drop(lease);
-                self.mark_down(index);
-                Err(HttpFailure::new(
-                    502,
-                    format!("backend {}: {e}", self.backends[index].name),
-                ))
-            }
         }
     }
 
@@ -956,9 +892,10 @@ fn handle_library_replicate(
     .map_err(io_failure)
 }
 
-/// `POST /pipeline`: route the whole request by blocking key, stream the
-/// shard's response back, replicate the library if the run learned.
-fn handle_pipeline(
+/// `POST /pipeline` and `POST /apply`: route the whole request by blocking
+/// key, stream the backend's response back, and replicate the library if a
+/// pipeline run learned (`/apply` responses never report approved groups).
+fn handle_routed(
     state: &Arc<RouterState>,
     request: &Request,
     body: &mut BodyReader<'_>,
@@ -995,211 +932,6 @@ fn handle_pipeline(
     )
 }
 
-/// `POST /apply`: shard by column, fan out, zip-merge.
-fn handle_apply(
-    state: &Arc<RouterState>,
-    request: &Request,
-    body: &mut BodyReader<'_>,
-    writer: &mut BufWriter<TcpStream>,
-    persistence: Persistence,
-) -> HandlerResult {
-    let buffered = read_capped_body(body)?;
-    let bad_body =
-        |e: ec_data::DatasetIoError| HttpFailure::new(400, format!("bad flat CSV body: {e}"));
-    let mut stream = FlatCsvReader::new(&buffered[..]).map_err(bad_body)?;
-    let columns = stream.columns().to_vec();
-    if columns.is_empty() {
-        // No attribute columns to shard: route whole, as /pipeline does.
-        let (_, lease, status, headers) =
-            state.call_routed(&request.raw_target, "POST", &request.raw_target, &buffered)?;
-        return relay_response(state, lease, status, headers, writer, persistence, |_| {});
-    }
-
-    // Group the columns by owning backend, preserving column order inside a
-    // group; `owners[c]` remembers `(group, position in group)` for the
-    // merge.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut owners: Vec<(usize, usize)> = Vec::with_capacity(columns.len());
-    for (column_index, column) in columns.iter().enumerate() {
-        let backend = state
-            .owner_of(column)
-            .ok_or_else(|| HttpFailure::new(503, "no healthy backend"))?;
-        let group = match groups.iter().position(|(b, _)| *b == backend) {
-            Some(group) => group,
-            None => {
-                groups.push((backend, Vec::new()));
-                groups.len() - 1
-            }
-        };
-        owners.push((group, groups[group].1.len()));
-        groups[group].1.push(column_index);
-    }
-
-    // Materialize the records once; each group's sub-request carries only
-    // its own columns (plus `source`).
-    let mut sources: Vec<usize> = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    while let Some(record) = stream.next_record() {
-        let record = record.map_err(bad_body)?;
-        sources.push(record.source);
-        rows.push(record.fields);
-    }
-    let group_bodies: Vec<Vec<u8>> = groups
-        .iter()
-        .map(|(_, group_columns)| {
-            let mut out = Vec::new();
-            let mut csv = CsvWriter::new(&mut out);
-            let header = std::iter::once("source".to_string())
-                .chain(group_columns.iter().map(|&c| columns[c].clone()));
-            csv.write_record(header).expect("Vec write cannot fail");
-            for (source, fields) in sources.iter().zip(&rows) {
-                let row = std::iter::once(source.to_string()).chain(
-                    group_columns
-                        .iter()
-                        .map(|&c| fields.get(c).cloned().unwrap_or_default()),
-                );
-                csv.write_record(row).expect("Vec write cannot fail");
-            }
-            csv.flush().expect("Vec write cannot fail");
-            out
-        })
-        .collect();
-
-    // Fan the sub-requests out on scoped threads (I/O waits, not CPU work —
-    // see the module docs for why the shared pool is wrong here). Failover
-    // inside `call_routed_buffered` keys on the group's first column, so a
-    // re-route lands where that column would next live on the ring.
-    let shard_responses: Vec<Result<Response, HttpFailure>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .zip(&group_bodies)
-            .map(|((_, group_columns), group_body)| {
-                let key = columns[group_columns[0]].as_str();
-                let state = &**state;
-                scope.spawn(move || state.call_routed_buffered(key, "POST", "/apply", group_body))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or_else(|_| Err(HttpFailure::new(500, "apply fan-out panicked")))
-            })
-            .collect()
-    });
-
-    // Parse every shard's CSV back and cross-check the shape.
-    let mut shards: Vec<(Vec<Vec<String>>, Response)> = Vec::with_capacity(shard_responses.len());
-    for ((backend, _), outcome) in groups.iter().zip(shard_responses) {
-        let response = outcome?;
-        if response.status != 200 {
-            return Err(HttpFailure::new(
-                response.status,
-                format!(
-                    "backend {}: {}",
-                    state.backends[*backend].name,
-                    String::from_utf8_lossy(&response.body).trim()
-                ),
-            ));
-        }
-        let mut shard_rows: Vec<Vec<String>> = Vec::with_capacity(sources.len());
-        let mut shard_stream = FlatCsvReader::new(&response.body[..])
-            .map_err(|e| HttpFailure::new(502, format!("unparsable shard response: {e}")))?;
-        while let Some(record) = shard_stream.next_record() {
-            let record = record
-                .map_err(|e| HttpFailure::new(502, format!("unparsable shard response: {e}")))?;
-            shard_rows.push(record.fields);
-        }
-        if shard_rows.len() != sources.len() {
-            return Err(HttpFailure::new(
-                502,
-                format!(
-                    "shard responses disagree: expected {} records, backend {} returned {}",
-                    sources.len(),
-                    state.backends[*backend].name,
-                    shard_rows.len()
-                ),
-            ));
-        }
-        shards.push((shard_rows, response));
-    }
-
-    // Zip-merge: record order is the request's, column order the header's —
-    // both identical to what a single node writes.
-    let trailer_sum = |name: &str| -> u64 {
-        shards
-            .iter()
-            .filter_map(|(_, r)| r.trailer(name))
-            .filter_map(|v| v.parse::<u64>().ok())
-            .sum()
-    };
-    let version = shards
-        .iter()
-        .filter_map(|(_, r)| r.header("x-ec-library-version"))
-        .filter_map(|v| v.parse::<u64>().ok())
-        .max()
-        .unwrap_or(0);
-    http::write_chunked_head(
-        writer,
-        200,
-        "text/csv",
-        &[("X-Ec-Library-Version".to_string(), version.to_string())],
-        persistence,
-        &[
-            "X-Ec-Records",
-            "X-Ec-Cells-Rewritten",
-            "X-Ec-Cells-Unmatched",
-            "X-Ec-Library-Hits",
-            "X-Ec-Library-Misses",
-        ],
-    )
-    .map_err(io_failure)?;
-    let mut body_writer = ChunkedWriter::new(writer);
-    {
-        let mut out = BufWriter::with_capacity(8 * 1024, &mut body_writer);
-        let mut csv = CsvWriter::new(&mut out);
-        let header = std::iter::once("source").chain(columns.iter().map(String::as_str));
-        csv.write_record(header).map_err(io_failure)?;
-        for (row_index, source) in sources.iter().enumerate() {
-            let fields = owners.iter().map(|&(group, position)| {
-                shards[group].0[row_index]
-                    .get(position)
-                    .map(String::as_str)
-                    .unwrap_or("")
-            });
-            let row = std::iter::once(source.to_string()).chain(fields.map(str::to_string));
-            csv.write_record(row).map_err(io_failure)?;
-        }
-        csv.flush().map_err(io_failure)?;
-        out.flush().map_err(io_failure)?;
-    }
-    body_writer
-        .finish(&[
-            ("X-Ec-Records".to_string(), sources.len().to_string()),
-            (
-                "X-Ec-Cells-Rewritten".to_string(),
-                trailer_sum("x-ec-cells-rewritten").to_string(),
-            ),
-            (
-                "X-Ec-Cells-Unmatched".to_string(),
-                trailer_sum("x-ec-cells-unmatched").to_string(),
-            ),
-            // Column shards count hits/misses over disjoint column sets, so
-            // the sums equal a single node's whole-request counters.
-            (
-                "X-Ec-Library-Hits".to_string(),
-                trailer_sum("x-ec-library-hits").to_string(),
-            ),
-            (
-                "X-Ec-Library-Misses".to_string(),
-                trailer_sum("x-ec-library-misses").to_string(),
-            ),
-        ])
-        .map_err(io_failure)?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Relay helpers.
 // ---------------------------------------------------------------------------
@@ -1218,9 +950,9 @@ fn read_capped_body(body: &mut BodyReader<'_>) -> Result<Vec<u8>, HttpFailure> {
     Ok(buffered)
 }
 
-/// The `/pipeline` blocking key of a buffered flat-CSV body: the normalized
-/// first record. Requests whose records share a blocking key route to the
-/// same backend, keeping a tenant's (or entity family's) pipeline runs — and
+/// The blocking key of a buffered flat-CSV body: the normalized first
+/// record. Requests whose records share a blocking key route to the same
+/// backend, keeping a tenant's (or entity family's) pipeline runs — and
 /// therefore their learned programs — warm on one shard.
 fn blocking_key(body: &[u8]) -> Option<String> {
     let mut stream = FlatCsvReader::new(body).ok()?;

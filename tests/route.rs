@@ -5,8 +5,8 @@
 //!    suite already pins to the `ec pipeline` CLI's files — so the whole
 //!    chain `router ≡ single node ≡ CLI` holds for the same input and flags;
 //! 2. a pipeline run that learns replicates the library to *every* backend,
-//!    so `/apply` answers identically no matter which backend a column
-//!    shards to;
+//!    so `/apply` — routed whole to exactly one backend, by blocking key
+//!    like `/pipeline` — answers identically whichever backend it lands on;
 //! 3. stopping a backend re-routes around it (fail open) without changing a
 //!    single response byte.
 //!
@@ -18,6 +18,7 @@ use common::scaled;
 use ec_cli::memio::MemFiles;
 use ec_cli::{parse, run};
 use entity_consolidation::serve::http;
+use entity_consolidation::serve::ring::{Ring, DEFAULT_REPLICAS};
 use entity_consolidation::serve::{
     Router, RouterConfig, RouterHandle, ServeConfig, Server, ServerHandle,
 };
@@ -77,9 +78,16 @@ fn start_server() -> (ServerHandle, std::thread::JoinHandle<()>) {
 }
 
 fn start_router(backends: Vec<String>) -> (RouterHandle, std::thread::JoinHandle<()>) {
-    let mut config = RouterConfig::new("127.0.0.1:0", backends);
     // Fast probes so the failover test converges quickly.
-    config.probe_interval = Duration::from_millis(100);
+    start_router_probing(backends, Duration::from_millis(100))
+}
+
+fn start_router_probing(
+    backends: Vec<String>,
+    probe_interval: Duration,
+) -> (RouterHandle, std::thread::JoinHandle<()>) {
+    let mut config = RouterConfig::new("127.0.0.1:0", backends);
+    config.probe_interval = probe_interval;
     let router = Router::bind(config).expect("bind an ephemeral router port");
     let handle = router.handle();
     let join = std::thread::spawn(move || router.run().expect("router run"));
@@ -149,8 +157,8 @@ fn routed_responses_are_byte_identical_to_a_single_node() {
     );
     assert!(snapshot_a.body.len() > 30, "the library learned entries");
 
-    // /apply shards by column across both backends, and the zip-merged
-    // response still matches the single node byte for byte.
+    // /apply routes whole to one backend, and its response matches the
+    // single node byte for byte.
     let direct = http::request(single.addr(), "POST", "/apply", flat.as_bytes()).unwrap();
     let routed = http::request(router.addr(), "POST", "/apply", flat.as_bytes()).unwrap();
     assert_eq!(routed.status, 200, "{:?}", routed.body);
@@ -221,6 +229,35 @@ fn shard_key_pins_a_pipeline_and_router_rejects_what_it_cannot_serve() {
     )
     .unwrap();
     assert_eq!(bad.status, 400);
+    // /apply takes the same routing: a pinned request returns the direct
+    // backend's bytes and trailers.
+    let pinned = http::request(
+        router.addr(),
+        "POST",
+        "/apply?shard-key=tenant-7",
+        body.as_bytes(),
+    )
+    .unwrap();
+    let direct = http::request(backend.addr(), "POST", "/apply", body.as_bytes()).unwrap();
+    assert_eq!(pinned.status, 200, "{:?}", pinned.body);
+    assert_eq!(pinned.body, direct.body);
+    assert_eq!(pinned.trailers, direct.trailers);
+    // A malformed /apply body is the backend's 400, relayed.
+    let malformed =
+        http::request(router.addr(), "POST", "/apply", b"not,a,flat\nheader\n").unwrap();
+    assert_eq!(malformed.status, 400);
+    assert!(
+        String::from_utf8_lossy(&malformed.body).starts_with("bad flat CSV body"),
+        "{:?}",
+        String::from_utf8_lossy(&malformed.body)
+    );
+    // An empty /apply body gets the backend's own answer (without a
+    // preloaded artifact, a 400), not one the router makes up.
+    let empty_routed = http::request(router.addr(), "POST", "/apply", b"").unwrap();
+    let empty_direct = http::request(backend.addr(), "POST", "/apply", b"").unwrap();
+    assert_eq!(empty_direct.status, 400);
+    assert_eq!(empty_routed.status, empty_direct.status);
+    assert_eq!(empty_routed.body, empty_direct.body);
     // Unknown endpoints 404 at the router itself.
     let missing = http::request(router.addr(), "GET", "/nope", b"").unwrap();
     assert_eq!(missing.status, 404);
@@ -229,4 +266,67 @@ fn shard_key_pins_a_pipeline_and_router_rejects_what_it_cannot_serve() {
     router_join.join().expect("router thread");
     backend.stop();
     join.join().expect("server thread");
+}
+
+#[test]
+fn routed_apply_reaches_exactly_one_backend() {
+    let (backend_a, join_a) = start_server();
+    let (backend_b, join_b) = start_server();
+    let names = vec![backend_a.addr().to_string(), backend_b.addr().to_string()];
+    // A long probe interval: after the first sweep no probe lands on a
+    // backend while the request counters are compared.
+    let (router, router_join) = start_router_probing(names.clone(), Duration::from_secs(600));
+    for _ in 0..500 {
+        if backend_a.requests() >= 1 && backend_b.requests() >= 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let health = http::request(router.addr(), "GET", "/healthz", b"").unwrap();
+    assert_eq!(health.header("x-ec-router-healthy"), Some("2"));
+
+    // Column names the ring places on both backends, so that routing by
+    // column would reach both.
+    let ring = Ring::new(&names, DEFAULT_REPLICAS);
+    let mut columns: Vec<String> = Vec::new();
+    let mut owners = [false; 2];
+    for candidate in (0..64).map(|i| format!("attr{i}")) {
+        let owner = ring.route(&candidate).expect("a non-empty ring routes");
+        if !owners[owner] {
+            owners[owner] = true;
+            columns.push(candidate);
+        }
+        if owners == [true, true] {
+            break;
+        }
+    }
+    assert_eq!(owners, [true, true], "no column split across the ring");
+    let mut body = format!("source,{}\n", columns.join(","));
+    for source in 0..3 {
+        let fields: Vec<String> = (0..columns.len())
+            .map(|c| format!("value {source} {c}"))
+            .collect();
+        body.push_str(&format!("{source},{}\n", fields.join(",")));
+    }
+
+    let before = (backend_a.requests(), backend_b.requests());
+    let routed = http::request(router.addr(), "POST", "/apply", body.as_bytes()).unwrap();
+    assert_eq!(routed.status, 200, "{:?}", routed.body);
+    let mut deltas = [
+        backend_a.requests() - before.0,
+        backend_b.requests() - before.1,
+    ];
+    deltas.sort_unstable();
+    assert_eq!(
+        deltas,
+        [0, 1],
+        "a routed /apply must reach exactly one backend"
+    );
+
+    router.stop();
+    router_join.join().expect("router thread");
+    for (handle, join) in [(backend_a, join_a), (backend_b, join_b)] {
+        handle.stop();
+        join.join().expect("server thread");
+    }
 }
